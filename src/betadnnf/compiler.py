@@ -24,7 +24,6 @@ from .hypergraph import (
     beta_condition_violation,
     beta_elimination_order,
     connected_components,
-    sub_hypergraph,
 )
 
 
@@ -94,35 +93,58 @@ class Compiler:
                 )
         self.order = order
         self.edge_order = EdgeOrder(self.hypergraph, order)
-        sorted_edges = self.edge_order.sort(self.hypergraph.edges)
-        self.edge_index = {e: i for i, e in enumerate(sorted_edges)}
+        # edges in edge order; an edge is named by its position in this list
+        self.edges: list[frozenset[int]] = self.edge_order.sort(self.hypergraph.edges)
+        self.edge_index = {e: i for i, e in enumerate(self.edges)}
+        self.edges_with: dict[int, list[int]] = {x: [] for x in order.sequence}
+        for i, e in enumerate(self.edges):
+            for v in e:
+                self.edges_with[v].append(i)
         self.clauses: list[Clause] = formula.sorted_clauses()
         self.clauses_by_edge: dict[frozenset[int], list[int]] = {}
+        self.clause_counts = dict.fromkeys(order.sequence, 0)
         for cid, clause in enumerate(self.clauses):
-            self.clauses_by_edge.setdefault(clause.variables, []).append(cid)
-        self.clause_counts = {
-            x: sum(1 for c in self.clauses if x in c.variables) for x in order.sequence
-        }
-        self.edges_with: dict[int, list[frozenset[int]]] = {
-            x: [e for e in sorted_edges if x in e] for x in order.sequence
-        }
+            variables = clause.variables
+            self.clauses_by_edge.setdefault(variables, []).append(cid)
+            for v in variables:
+                self.clause_counts[v] += 1
         self.builder = CircuitBuilder()
         self.cache: dict[SubFormulaKey, int] = {}
-        self._reach_memo: dict[tuple[frozenset[int], int], frozenset[frozenset[int]]] = {}
+        self._reach_memo: dict[tuple[frozenset[int], int], list[int]] = {}
         self.full_circuit: NnfCircuit | None = None
 
-    def reachable_edges(self, edge: frozenset[int], cutoff: int) -> frozenset[frozenset[int]]:
-        key = (edge, cutoff)
-        found = self._reach_memo.get(key)
-        if found is None:
-            found = sub_hypergraph(self.hypergraph, self.order, edge, cutoff).edges
-            self._reach_memo[key] = found
-        return found
+    def reachable_edges(self, edge: frozenset[int], cutoff: int) -> list[int]:
+        """Indices, ascending, of the edges reachable from `edge` through
+        edges at most `edge` and vertices at most `cutoff`: the edges of
+        `hypergraph.sub_hypergraph(..., edge, cutoff)`."""
+        start = self.edge_index.get(edge)
+        if start is None:
+            raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
+        if not self.edges_with.get(cutoff):
+            raise ValueError(f"vertex {cutoff} not in the hypergraph")
+        rank = self.order.rank
+        bar = rank[cutoff]
+        edges, edges_with = self.edges, self.edges_with
+        seen = {start}
+        stack = [start]
+        while stack:
+            for v in edges[stack.pop()]:
+                if rank[v] <= bar:
+                    for f in edges_with[v]:
+                        if f > start:
+                            break
+                        if f not in seen:
+                            seen.add(f)
+                            stack.append(f)
+        return sorted(seen)
 
     def sub_formula(self, edge: Iterable[int], cutoff: int) -> CnfFormula:
         """Clauses whose variable set is an edge reachable around `edge`."""
-        edges = self.reachable_edges(frozenset(edge), cutoff)
-        return CnfFormula(c for c in self.formula.clauses if c.variables in edges)
+        return CnfFormula(
+            self.clauses[cid]
+            for i in self.reachable_edges(frozenset(edge), cutoff)
+            for cid in self.clauses_by_edge[self.edges[i]]
+        )
 
     def restriction_above(self, clause: Clause, cutoff: int) -> Assignment:
         return falsifying_assignment(clause, self.order, cutoff)
@@ -136,9 +158,23 @@ class Compiler:
         """Decompose the restricted sub-formula at (edge, x) into independent
         pieces rooted one stage earlier.
 
-        Returns TAUTOLOGY when `tau` satisfies every clause in scope, else
-        the edges whose reachable sets at the predecessor stage are maximal,
-        each with the lowest-id clause that `tau` fails to satisfy.
+        Returns TAUTOLOGY when `tau` satisfies every clause in scope, else,
+        in edge order, the candidates (edges of R(edge, x) with a clause
+        that `tau` fails) that lie in R(f, y) for no other candidate f,
+        y being the predecessor of x; each comes with the lowest-id clause
+        that `tau` fails to satisfy.
+
+        One union-find sweep finds them. The edges of R(edge, x) are
+        inserted in edge order, each joined to the earlier edges it shares
+        a vertex at or below y with. Every edge of R(f, y) is at most f
+        and lies in R(edge, x), so right after f is inserted its class is
+        exactly R(f, y). A candidate g can only fall in R(f, y) for f
+        above g, hence g is dominated iff a later candidate's insertion
+        finds it in the class. Each class keeps its undominated
+        candidates; inserting a candidate replaces its class's list with
+        itself. The candidates left at the end are the pieces. The largest
+        candidate of each final class is not enough: a class can hold two
+        candidates joined only through a larger non-candidate edge.
         """
         e = frozenset(edge)
         rank = self.order.rank
@@ -149,21 +185,41 @@ class Compiler:
             raise ValueError(
                 f"restriction must bind exactly {sorted(expected)}, got {sorted(tau.domain())}"
             )
-        lowest_unsat: dict[frozenset[int], int] = {}
-        for g in self.reachable_edges(e, x):
-            for cid in self.clauses_by_edge[g]:
-                if not self.clauses[cid].satisfied_by(tau):
-                    lowest_unsat[g] = cid
-                    break
+        reach = self._reach_memo.get((e, x))
+        if reach is None:
+            reach = self._reach_memo[(e, x)] = self.reachable_edges(e, x)
+        bar = rank[x]
+        edges, clauses = self.edges, self.clauses
+        lowest_unsat: dict[int, int] = {}
+        parent: dict[int, int] = {}
+        live: dict[int, list[int]] = {}  # class root -> its undominated candidates
+        owner: dict[int, int] = {}  # vertex below x -> first edge through it
+        for i in reach:
+            g = edges[i]
+            cids = self.clauses_by_edge[g]
+            if expected.isdisjoint(g):
+                lowest_unsat[i] = cids[0]
+            else:
+                for cid in cids:
+                    if not clauses[cid].satisfied_by(tau):
+                        lowest_unsat[i] = cid
+                        break
+            parent[i] = i
+            merged: list[int] = []
+            for v in g:
+                if rank[v] < bar:
+                    root = owner.setdefault(v, i)
+                    while parent[root] != root:
+                        parent[root] = parent[parent[root]]
+                        root = parent[root]
+                    if root != i:
+                        parent[root] = i
+                        merged += live.pop(root)
+            live[i] = [i] if i in lowest_unsat else merged
         if not lowest_unsat:
             return TAUTOLOGY
-        y = self.order.sequence[rank[x] - 1]
-        candidates = self.edge_order.sort(lowest_unsat)
-        result = []
-        for g in candidates:
-            if all(g not in self.reachable_edges(f, y) for f in candidates if f != g):
-                result.append((g, lowest_unsat[g]))
-        return result
+        pieces = sorted(j for js in live.values() for j in js)
+        return [(edges[j], lowest_unsat[j]) for j in pieces]
 
     def lookup(self, edge: frozenset[int], clause_id: int, cutoff: int) -> int:
         """Gate for the sub-formula at (edge, cutoff) under the clause's
@@ -231,7 +287,8 @@ class Compiler:
         cumulative = 0
         for i, x in enumerate(self.order.sequence):
             cumulative += self.clause_counts[x]
-            for e in self.edges_with[x]:
+            for j in self.edges_with[x]:
+                e = self.edges[j]
                 for cid in self.clauses_by_edge[e]:
                     tau = self.restriction_above(self.clauses[cid], x)
                     key = self._cache_key(e, tau, x)
@@ -301,29 +358,6 @@ def compile_cnf(
     if not formula.clauses:
         return _degenerate(formula, constant_true=True, start=start)
     return Compiler(formula, order).run()
-
-
-def sub_formula(
-    formula: CnfFormula, order: EliminationOrder, edge: Iterable[int], cutoff: int
-) -> CnfFormula:
-    """Clauses whose variable set is reachable around `edge` at `cutoff`."""
-    return Compiler(formula, order).sub_formula(edge, cutoff)
-
-
-def compute_U(
-    formula: CnfFormula,
-    order: EliminationOrder,
-    edge: Iterable[int],
-    x: int,
-    tau: Assignment,
-) -> Tautology | list[tuple[frozenset[int], Clause]]:
-    """Public form of the branch decomposition step; clauses are returned
-    as objects rather than internal ids."""
-    compiler = Compiler(formula, order)
-    pieces = compiler.compute_U(edge, x, tau)
-    if pieces is TAUTOLOGY:
-        return TAUTOLOGY
-    return [(g, compiler.clauses[cid]) for g, cid in pieces]
 
 
 def compile_stats_sweep(formulas: Iterable[CnfFormula]) -> list[dict]:

@@ -13,14 +13,7 @@ from betadnnf import (
     hypergraph_of,
 )
 from betadnnf.circuit import AndGate, DecisionGate, LiteralGate
-from betadnnf.compiler import (
-    TAUTOLOGY,
-    Compiler,
-    compile_cnf,
-    compile_stats_sweep,
-    compute_U,
-    sub_formula,
-)
+from betadnnf.compiler import TAUTOLOGY, Compiler, compile_cnf, compile_stats_sweep
 from betadnnf.errors import NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 from betadnnf.hypergraph import EliminationOrder, beta_elimination_order, sub_hypergraph
@@ -35,21 +28,54 @@ def clause_sets(formula):
     return {c.sorted_literals() for c in formula.clauses}
 
 
+def compute_U(formula, order, edge, x, tau):
+    """Pieces of `Compiler.compute_U` with clause ids mapped to clauses."""
+    compiler = Compiler(formula, order)
+    pieces = compiler.compute_U(edge, x, tau)
+    if pieces is TAUTOLOGY:
+        return TAUTOLOGY
+    return [(g, compiler.clauses[cid]) for g, cid in pieces]
+
+
+def pairwise_compute_U(compiler, edge, x, tau):
+    """compute_U by its definition, from `hypergraph.sub_hypergraph`: the
+    candidates that lie in no other candidate's reachable set one stage
+    down."""
+    graph, order = compiler.hypergraph, compiler.order
+    lowest_unsat = {}
+    for g in sub_hypergraph(graph, order, edge, x).edges:
+        for cid in compiler.clauses_by_edge[g]:
+            if not compiler.clauses[cid].satisfied_by(tau):
+                lowest_unsat[g] = cid
+                break
+    if not lowest_unsat:
+        return TAUTOLOGY
+    y = order.predecessor(x)
+    candidates = compiler.edge_order.sort(lowest_unsat)
+    return [
+        (g, lowest_unsat[g])
+        for g in candidates
+        if not any(f != g and g in sub_hypergraph(graph, order, f, y).edges for f in candidates)
+    ]
+
+
 class TestSubFormula:
     def test_everything_reachable(self, fstar):
-        assert sub_formula(fstar, ORDER, E5, 4) == fstar
+        assert Compiler(fstar, ORDER).sub_formula(E5, 4) == fstar
 
     def test_cutoff_drops_clauses(self, fstar):
-        got = sub_formula(fstar, ORDER, E5, 3)
+        got = Compiler(fstar, ORDER).sub_formula(E5, 3)
         assert clause_sets(got) == {(1, 2), (2, 5), (2, 4, 5)}
 
     def test_isolated_edge(self, fstar):
-        got = sub_formula(fstar, ORDER, E2, 3)
+        got = Compiler(fstar, ORDER).sub_formula(E2, 3)
         assert clause_sets(got) == {(3, 4)}
 
     def test_unknown_edge_rejected(self, fstar):
         with pytest.raises(ValueError):
-            sub_formula(fstar, ORDER, frozenset({1, 5}), 3)
+            Compiler(fstar, ORDER).sub_formula(frozenset({1, 5}), 3)
+        with pytest.raises(ValueError):
+            Compiler(fstar, ORDER).sub_formula(E1, 9)
 
 
 class TestComputeU:
@@ -74,6 +100,35 @@ class TestComputeU:
     def test_domain_mismatch_rejected(self, fstar):
         with pytest.raises(ValueError, match="bind exactly"):
             compute_U(fstar, ORDER, E5, 5, Assignment({4: 0, 5: 0}))
+
+    def test_candidates_joined_only_above_them_stay_apart(self):
+        """{1,2} and {3,4} share a class one stage down only through the
+        larger {1,3,4}, so neither reaches the other: keeping just the
+        largest candidate of each class would drop {1,2}."""
+        formula = CnfFormula.from_ints([[1, 2], [3, -4], [1, 3, 4]])
+        got = compute_U(formula, EliminationOrder((2, 1, 3, 4)), frozenset({1, 3, 4}), 4,
+                        Assignment({4: 1}))
+        assert [(g, c.sorted_literals()) for g, c in got] == [
+            (frozenset({1, 2}), (1, 2)),
+            (frozenset({3, 4}), (3, -4)),
+        ]
+
+    def test_matches_the_pairwise_definition(self):
+        rng = random.Random(2017)
+        for _ in range(150):
+            formula = random_beta_acyclic_cnf(rng, max_vars=9, max_clauses=14)
+            compiler = Compiler(formula)
+            rank = compiler.order.rank
+            for clause in compiler.clauses:
+                for x in clause.variables:
+                    if rank[x] == 0:
+                        continue
+                    above = compiler.restriction_above(clause, x)
+                    for b in (0, 1):
+                        tau = above.union(Assignment({x: b}))
+                        assert compiler.compute_U(clause.variables, x, tau) == (
+                            pairwise_compute_U(compiler, clause.variables, x, tau)
+                        ), (clause, x, tau)
 
 
 class TestDecisionStepStructure:
