@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
 Exit codes: 0 success, 1 property or equivalence failure, 2 usage or
-input error, 3 cap or budget refusal. Diagnostics go to stderr; results
-meant for scripting (counts, orders, verdicts) go to stdout.
+input error, 3 refusal: a cap or budget was exceeded, or the run ran out
+of memory or stack (`MemoryError`, `RecursionError`). Diagnostics go to
+stderr; results meant for scripting (counts, orders, verdicts) go to
+stdout.
 """
 from __future__ import annotations
 
@@ -45,10 +47,15 @@ def _load_order(path: str) -> hg_mod.EliminationOrder:
     return hg_mod.EliminationOrder(vertices)
 
 
-def _counting_set(formula: cnf_mod.CnfFormula) -> frozenset[int]:
-    declared = formula.declared_variables or 0
-    top = max(max(formula.variables, default=0), declared)
-    return frozenset(range(1, top + 1))
+def _width(formula: cnf_mod.CnfFormula) -> int:
+    """n for the counting set 1..n: the declared or the largest variable."""
+    return max(max(formula.variables, default=0), formula.declared_variables or 0)
+
+
+def _refuse_wider(width: int, cap: int, what: str) -> None:
+    """Refuse before a set of `width` variables is built."""
+    if width > cap:
+        raise CapExceededError(f"{width} variables exceed the {what} cap of {cap}", cap)
 
 
 def _order_for(formula: cnf_mod.CnfFormula, args) -> hg_mod.EliminationOrder | None:
@@ -100,12 +107,14 @@ def cmd_compile(args) -> int:
 
 def cmd_count(args) -> int:
     formula = _load_formula(args.formula)
-    over = _counting_set(formula)
+    width = _width(formula)
+    free = width - len(formula.variables)  # declared but in no clause
     if args.method == "brute":
-        n = cnf_mod.brute_force_count(formula, over, cap=args.cap_vars)
+        _refuse_wider(width, args.cap_vars, "enumeration")
+        n = cnf_mod.brute_force_count(formula, range(1, width + 1), cap=args.cap_vars)
     elif args.method == "compile":
         circuit, _ = compiler_mod.compile_cnf(formula, _order_for(formula, args))
-        n = circuit_mod.count_models(circuit, over)
+        n = circuit_mod.count_models(circuit, formula.variables) << free
     else:
         strategy = dpll_mod.OrderStrategy.lexicographic()
         if args.method == "dpll":
@@ -114,7 +123,7 @@ def cmd_count(args) -> int:
                 if hg_mod.is_beta_acyclic(graph):
                     strategy = dpll_mod.OrderStrategy.reverse_beta_elimination()
         count, _ = dpll_mod.count_dpll(formula, strategy, budget=args.budget)
-        n = count << (len(over) - len(formula.variables))
+        n = count << free
     print(n)
     return EXIT_OK
 
@@ -144,9 +153,9 @@ def cmd_dpll(args) -> int:
         strategy = dpll_mod.OrderStrategy.reverse_beta_elimination()
     else:
         strategy = dpll_mod.OrderStrategy.lexicographic()
-    count, stats = dpll_mod.count_dpll(formula, strategy, budget=args.budget)
+    count, stats, trace = dpll_mod.search(formula, strategy, budget=args.budget,
+                                          trace=bool(args.trace))
     if args.trace:
-        trace = dpll_mod.trace_to_circuit(formula, strategy, budget=args.budget)
         circuit_mod.write_nnf_file(trace, args.trace)
     print(count)
     if args.json:
@@ -185,8 +194,9 @@ def cmd_mimw(args) -> int:
 def cmd_rectcover(args) -> int:
     formula = _load_formula(args.formula)
     left = frozenset(int(v) for v in args.left.split(",") if v)
-    over = _counting_set(formula)
-    right = over - left
+    width = _width(formula)
+    _refuse_wider(width + sum(not 1 <= v <= width for v in left), args.cap_vars, "rectangle")
+    right = frozenset(range(1, width + 1)) - left
     print(lb_mod.min_rectangle_cover(formula, left, right, cap=args.cap_vars))
     return EXIT_OK
 
@@ -282,6 +292,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CapExceededError, BudgetExceededError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except (RecursionError, MemoryError) as exc:
+        print(f"refused: {exc!r}", file=sys.stderr)
         return EXIT_REFUSED
     except NotBetaAcyclicError as exc:
         print(f"not beta-acyclic: {exc}", file=sys.stderr)

@@ -18,15 +18,6 @@ Literal = int
 MAX_DIMACS_LINE_BYTES = 4096
 
 
-def variable_of(lit: Literal) -> int:
-    """Variable id of a literal."""
-    return abs(lit)
-
-
-def is_positive(lit: Literal) -> bool:
-    return lit > 0
-
-
 class Assignment:
     """Immutable partial map from variable ids to {0, 1}."""
 
@@ -281,24 +272,6 @@ def brute_force_count(formula: CnfFormula, variables: Iterable[int], cap: int = 
     return truth_table_of_formula(formula, ordered).bit_count()
 
 
-def parse_dimacs_header(text: str) -> tuple[int, int]:
-    """(variable count, clause count) from the `p cnf` line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("p"):
-            fields = stripped.split()
-            if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
-                raise DimacsParseError(f"bad header {stripped!r}", lineno)
-            try:
-                return int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DimacsParseError(f"bad header {stripped!r}", lineno) from None
-        raise DimacsParseError("clause data before the 'p cnf' header", lineno)
-    raise DimacsParseError("missing 'p cnf' header", 0)
-
-
 def parse_dimacs(text: str | bytes, strict: bool = False) -> CnfFormula:
     """Parse DIMACS CNF text into a formula.
 
@@ -375,11 +348,6 @@ def write_dimacs(formula: CnfFormula, num_vars: int | None = None) -> str:
     for clause in formula.sorted_clauses():
         lines.append(" ".join(str(l) for l in clause.sorted_literals()) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def read_dimacs_file(path) -> CnfFormula:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_dimacs(handle.read())
 
 
 def write_dimacs_file(formula: CnfFormula, path) -> None:

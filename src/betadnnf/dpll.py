@@ -2,16 +2,18 @@
 
 The plain scheme only: split into variable-disjoint parts when possible,
 otherwise branch on the next variable of the chosen order. No unit
-propagation, no pure-literal elimination. The recursion can optionally
-record its trace, which is a decision-DNNF of the input formula.
+propagation, no pure-literal elimination. One pass yields the count, the
+statistics and, optionally, the trace, a decision-DNNF of the input. The
+search keeps its own stack, so memory, not the recursion limit, bounds
+its depth. A residual is a sorted tuple of distinct clauses, each a tuple
+of literals sorted by variable, so it is its own exact cache key.
 """
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .circuit import CircuitBuilder, NnfCircuit
-from .cnf import Assignment, Clause, CnfFormula
+from .cnf import CnfFormula
 from .errors import BudgetExceededError, NotBetaAcyclicError
 from .hypergraph import NotBetaAcyclic, beta_elimination_order
 from . import cnf as cnf_mod
@@ -67,137 +69,135 @@ class DpllStats:
     peak_residuals: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "decisions": self.decisions,
-            "component_splits": self.component_splits,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_entries": self.cache_entries,
-            "peak_residuals": self.peak_residuals,
-        }
+        return asdict(self)
 
 
-def _canonical(formula: CnfFormula) -> tuple[tuple[int, ...], ...]:
-    """Order-independent exact key: sorted clauses of sorted literals."""
-    return tuple(sorted(c.sorted_literals() for c in formula.clauses))
+Residual = tuple[tuple[int, ...], ...]
 
 
-def _split_components(formula: CnfFormula) -> list[CnfFormula]:
-    """Partition the clauses into variable-disjoint groups (union-find)."""
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    for clause in formula.clauses:
-        vs = sorted(clause.variables)
-        for v in vs:
-            parent.setdefault(v, v)
-        for a, b in zip(vs, vs[1:]):
-            parent[find(a)] = find(b)
-    groups: dict[int, list[Clause]] = {}
-    for clause in formula.clauses:
-        root = find(next(iter(clause.variables)))
-        groups.setdefault(root, []).append(clause)
-    return [CnfFormula(cs) for _, cs in sorted(groups.items())]
+def _restrict(residual: Residual, lit: int) -> Residual:
+    """The residual once `lit` is true: satisfied clauses go, and the
+    others lose the opposite literal; a clause left with none stays as ()."""
+    out = []
+    for clause in residual:
+        if lit in clause:
+            continue
+        if -lit in clause:
+            i = clause.index(-lit)
+            clause = clause[:i] + clause[i + 1:]
+        out.append(clause)
+    # a shortened clause may be out of place or repeated; the list is
+    # nearly sorted, so the re-sort is cheap
+    return tuple(sorted(dict.fromkeys(out)))
 
 
-class _Engine:
-    def __init__(self, strategy: OrderStrategy, formula: CnfFormula,
-                 budget: int | None, trace: bool):
-        if formula.has_empty_clause() or not formula.clauses:
-            self.priority: tuple[int, ...] = ()
-        else:
-            self.priority = strategy.priority(formula)
-        self.budget = budget
-        self.steps = 0
-        self.stats = DpllStats()
-        self.cache: dict[tuple, tuple[int, int | None]] = {}
-        self.builder = CircuitBuilder() if trace else None
-        self.depth = 0
-
-    def count(self, formula: CnfFormula) -> tuple[int, int | None]:
-        """(model count over var(formula), trace gate or None)."""
-        self.steps += 1
-        if self.budget is not None and self.steps > self.budget:
-            raise BudgetExceededError(f"exceeded {self.budget} steps", self.budget)
-        self.depth += 1
-        self.stats.peak_residuals = max(self.stats.peak_residuals, self.depth)
-        try:
-            if formula.has_empty_clause():
-                return 0, self.builder.false() if self.builder is not None else None
-            if not formula.clauses:
-                return 1, self.builder.true() if self.builder is not None else None
-            key = _canonical(formula)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                return cached
-            self.stats.cache_misses += 1
-            parts = _split_components(formula)
-            if len(parts) > 1:
-                self.stats.component_splits += 1
-                total = 1
-                gates = []
-                for part in parts:
-                    n, g = self.count(part)
-                    total *= n
-                    if self.builder is not None:
-                        gates.append(g)
-                result = (total, self.builder.and_(gates) if self.builder is not None else None)
+def _split(residual: Residual, rank: dict[int, int]) -> tuple[int, int, list[Residual]]:
+    """(variable count, variable of least rank, variable-disjoint parts in
+    order of first clause); a one-clause residual is never split."""
+    if len(residual) == 1:
+        variables = list(map(abs, residual[0]))
+        return len(variables), min(variables, key=rank.__getitem__), [residual]
+    owner: dict[int, int] = {}  # variable -> first clause containing it
+    link = list(range(len(residual)))  # union-find; roots are smallest
+    merges = 0
+    for i, clause in enumerate(residual):
+        root = i
+        for lit in clause:
+            j = owner.setdefault(abs(lit), i)
+            if j == i:
+                continue
+            while link[j] != j:
+                j = link[j]
+            if j < root:
+                link[root], root = j, j
+            elif j > root:
+                link[j] = root
             else:
-                result = self._branch(formula)
-            self.cache[key] = result
-            self.stats.cache_entries = len(self.cache)
-            return result
-        finally:
-            self.depth -= 1
+                continue
+            merges += 1
+    parts = [residual]
+    if merges < len(residual) - 1:
+        groups: dict[int, list] = {}
+        for i, clause in enumerate(residual):
+            link[i] = link[link[i]]  # link[i] < i already points at a root
+            groups.setdefault(link[i], []).append(clause)
+        parts = [tuple(g) for g in groups.values()]
+    return len(owner), min(owner, key=rank.__getitem__), parts
 
-    def _branch(self, formula: CnfFormula) -> tuple[int, int | None]:
-        present = formula.variables
-        x = next(v for v in self.priority if v in present)
-        self.stats.decisions += 1
-        counts = {}
-        gates = {}
-        for b in (1, 0):
-            residual = formula.restrict(Assignment({x: b}))
-            n, g = self.count(residual)
+
+def _root(residual: Residual):  # the stack's bottom: it hands back the root's result
+    return (yield residual)
+
+
+def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: int | None = None,
+           trace: bool = False) -> tuple[int, DpllStats, NnfCircuit | None]:
+    """One DPLL pass: the model count over var(formula), the statistics,
+    and with `trace` the search tree as a circuit (decision gates, split
+    conjunctions, cache hits shared), else None. Each cache-missed residual
+    is a generator on an explicit stack: it yields its children and is sent
+    their (count over the child's variables, gate, variable count)."""
+    trivial = formula.has_empty_clause() or not formula.clauses
+    priority = () if trivial else (strategy or OrderStrategy.lexicographic()).priority(formula)
+    # a variable's first occurrence fixes its rank
+    rank = {v: i for i, v in reversed(tuple(enumerate(priority)))}
+    stats, cache = DpllStats(), {}
+    builder = CircuitBuilder() if trace else None
+
+    def expand(key: Residual):
+        nvars, x, parts = _split(key, rank)
+        if len(parts) > 1:
+            stats.component_splits += 1
+            total, gates = 1, []
+            for part in parts:
+                n, gate, _ = yield part
+                total *= n
+                gates.append(gate)
+            gate = builder.and_(sorted(gates)) if trace else None  # one per set of parts
+        else:
+            stats.decisions += 1
+            n1, hi, v1 = yield _restrict(key, x)
+            n0, lo, v0 = yield _restrict(key, -x)
             # variables satisfied away still range freely
-            counts[b] = n << (len(present) - 1 - len(residual.variables))
-            gates[b] = g
-        total = counts[1] + counts[0]
-        if self.builder is None:
-            return total, None
-        return total, self.builder.decision(x, gates[1], gates[0])
+            total = (n1 << (nvars - 1 - v1)) + (n0 << (nvars - 1 - v0))
+            gate = builder.decision(x, hi, lo) if trace else None
+        cache[key] = result = (total, gate, nvars)
+        return result
+
+    stack = [_root(tuple(sorted(c.sorted_literals() for c in formula.clauses)))]
+    value, steps = None, 0
+    while stack:
+        try:
+            residual = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+            continue
+        steps += 1
+        if budget is not None and steps > budget:
+            raise BudgetExceededError(f"exceeded {budget} steps", budget)
+        stats.peak_residuals = max(stats.peak_residuals, len(stack))
+        if not residual:
+            value = 1, builder.true() if trace else None, 0
+        elif not residual[0]:  # the empty clause sorts first
+            value = 0, builder.false() if trace else None, 0
+        elif (value := cache.get(residual)) is not None:
+            stats.cache_hits += 1
+        else:  # None primes the new generator
+            stats.cache_misses += 1
+            stack.append(expand(residual))
+    stats.cache_entries = len(cache)
+    count, gate, _ = value
+    return count, stats, builder.build(gate) if trace else None
 
 
-def count_dpll(
-    formula: CnfFormula,
-    strategy: OrderStrategy | None = None,
-    budget: int | None = None,
-) -> tuple[int, DpllStats]:
+def count_dpll(formula: CnfFormula, strategy: OrderStrategy | None = None,
+               budget: int | None = None) -> tuple[int, DpllStats]:
     """Exact model count of the formula over var(formula)."""
-    strategy = strategy or OrderStrategy.lexicographic()
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
-    engine = _Engine(strategy, formula, budget, trace=False)
-    n, _ = engine.count(formula)
-    return n, engine.stats
+    count, stats, _ = search(formula, strategy, budget)
+    return count, stats
 
 
-def trace_to_circuit(
-    formula: CnfFormula,
-    strategy: OrderStrategy | None = None,
-    budget: int | None = None,
-) -> NnfCircuit:
-    """The recursion tree as a circuit: decisions become decision gates,
-    component splits decomposable conjunctions, cache hits shared gates."""
-    strategy = strategy or OrderStrategy.lexicographic()
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
-    engine = _Engine(strategy, formula, budget, trace=True)
-    _, gate = engine.count(formula)
-    return engine.builder.build(gate)
+def trace_to_circuit(formula: CnfFormula, strategy: OrderStrategy | None = None,
+                     budget: int | None = None) -> NnfCircuit:
+    """The search tree as a circuit; see `search`."""
+    return search(formula, strategy, budget, trace=True)[2]

@@ -1,8 +1,10 @@
 import json
 import os
+import time
 
 import pytest
 
+from betadnnf import cli, dpll
 from betadnnf.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -45,6 +47,22 @@ class TestCount:
         code, _, err = run(capsys, "count", str(path), "--method", "brute")
         assert code == 3
         assert "refused" in err
+
+    def test_huge_header_is_refused_before_allocating(self, capsys, tmp_path):
+        path = tmp_path / "huge.cnf"
+        path.write_text("p cnf 1000000000 1\n1 0\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "count", str(path), "--method", "brute")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "refused: 1000000000 variables exceed the enumeration cap of 20" in err
+
+    @pytest.mark.parametrize("method", ["compile", "dpll"])
+    def test_declared_width_shifts_the_count(self, capsys, tmp_path, method):
+        path = tmp_path / "free.cnf"
+        path.write_text("p cnf 40 1\n1 0\n")
+        code, out, _ = run(capsys, "count", str(path), "--method", method)
+        assert (code, out) == (0, f"{2**39}\n")
 
 
 class TestCheck:
@@ -125,6 +143,25 @@ class TestDpllCommand:
         code, out, _ = run(capsys, "verify", str(trace_path), "--against", fstar_path())
         assert (code, out) == (0, "ok\n")
 
+    def test_trace_runs_one_search(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = dpll.search
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("trace"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dpll, "search", counted)
+        trace_path = tmp_path / "trace.nnf"
+        code, out, _ = run(capsys, "--json", "dpll", fstar_path(), "--trace", str(trace_path))
+        assert code == 0
+        assert calls == [True]
+        assert out == (
+            '13\n{"cache_entries": 10, "cache_hits": 4, "cache_misses": 10, '
+            '"component_splits": 0, "decisions": 10, "peak_residuals": 6}\n'
+        )
+        assert trace_path.read_text().startswith("nnf ")
+
     def test_budget_refusal(self, capsys):
         code, _, err = run(capsys, "--budget", "2", "dpll", fstar_path())
         assert code == 3
@@ -160,6 +197,13 @@ class TestLabCommands:
         code, out, _ = run(capsys, "rectcover", str(path), "--left", "1")
         assert (code, out) == (0, "2\n")
 
+    def test_rectcover_refuses_a_huge_header(self, capsys, tmp_path):
+        path = tmp_path / "huge.cnf"
+        path.write_text("p cnf 1000000000 1\n1 2 0\n")
+        code, _, err = run(capsys, "rectcover", str(path), "--left", "1,0")
+        assert code == 3
+        assert "refused: 1000000001 variables exceed the rectangle cap of 20" in err
+
     def test_bench(self, capsys):
         code, out, _ = run(capsys, "--json", "bench", "--family", "chain", "--sizes", "5,10")
         assert code == 0
@@ -174,6 +218,16 @@ class TestCliContract:
             _, out, _ = run(capsys, "count", fstar_path(), "--method", "dpll")
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_errors_are_refusals(self, capsys, monkeypatch, error):
+        def exhausted(args):
+            raise error()
+
+        monkeypatch.setattr(cli, "cmd_check", exhausted)
+        code, out, err = run(capsys, "check", fstar_path())
+        assert (code, out) == (3, "")
+        assert err.startswith(f"refused: {error.__name__}")
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from betadnnf import (
     count_dpll,
     count_models,
     trace_to_circuit,
+    write_nnf,
 )
 from betadnnf.circuit import AndGate, DecisionGate, FalseGate
 from betadnnf.dpll import OrderStrategy
@@ -47,8 +49,10 @@ class TestCount:
                 assert count_dpll(formula, strategy)[0] == expected
 
     def test_fixed_strategy(self, fstar):
-        count, _ = count_dpll(fstar, OrderStrategy.fixed((5, 4, 3, 2, 1)))
+        count, stats = count_dpll(fstar, OrderStrategy.fixed((5, 4, 3, 2, 1)))
         assert count == 13
+        # a repeated variable keeps the rank of its first occurrence
+        assert count_dpll(fstar, OrderStrategy.fixed((5, 4, 5, 3, 2, 1)))[1] == stats
         with pytest.raises(ValueError, match="misses"):
             count_dpll(fstar, OrderStrategy.fixed((1, 2)))
 
@@ -82,6 +86,15 @@ class TestTrace:
         assert isinstance(circuit.gates[circuit.output], AndGate)
         assert count_models(circuit, {1, 2, 3, 4}) == 9
 
+    def test_one_conjunction_per_set_of_parts(self):
+        # two residuals split into parts with equal gates in opposite
+        # clause order; both must reuse one conjunction
+        formula = CnfFormula.from_ints([[-1, -6], [2, 4, 7, 10], [3, 11], [4, 5, 8, 9],
+                                        [4, -5, -8, 9], [4, 9], [-4, -9], [5, -6], [-5, -6]])
+        circuit = trace_to_circuit(formula, OrderStrategy.lexicographic())
+        ands = [frozenset(g.children) for g in circuit.gates if isinstance(g, AndGate)]
+        assert len(set(ands)) == len(ands)
+
     def test_random_traces_agree_with_counts(self):
         rng = random.Random(31)
         for _ in range(25):
@@ -103,3 +116,61 @@ class TestScaling:
         # growth clearly per-variable: doubling n must not quadruple entries
         assert entries[2] <= 3 * entries[1]
         assert entries[1] <= 3 * entries[0]
+
+
+# DpllStats fields in to_dict order (decisions, splits, hits, misses,
+# entries, peak residuals); the plain scheme's counters must not move
+# when the engine changes.
+PINNED_STATS = {
+    ("fstar", "reverse-beta"): (7, 1, 0, 8, 8, 5),
+    ("fstar", "lex"): (10, 0, 4, 10, 10, 6),
+    ("chain32", "reverse-beta"): (62, 0, 29, 62, 62, 33),
+    ("chain32", "lex"): (62, 0, 29, 62, 62, 33),
+    ("wide50", "reverse-beta"): (50, 0, 0, 50, 50, 51),
+    ("wide50", "lex"): (50, 0, 0, 50, 50, 51),
+}
+
+
+class TestSearch:
+    @pytest.mark.parametrize("name,kind", sorted(PINNED_STATS))
+    def test_pinned_stats(self, fstar, name, kind):
+        formula = {
+            "fstar": fstar,
+            "chain32": chain_cnf(32),
+            "wide50": CnfFormula.from_ints([range(1, 51)]),
+        }[name]
+        strategy = next(s for s in STRATEGIES if s.kind == kind)
+        _, stats = count_dpll(formula, strategy)
+        fields = ("decisions", "component_splits", "cache_hits",
+                  "cache_misses", "cache_entries", "peak_residuals")
+        assert tuple(stats.to_dict()[f] for f in fields) == PINNED_STATS[name, kind]
+
+    def test_wide_clause_needs_no_recursion(self):
+        width = 1000
+        formula = CnfFormula.from_ints([range(1, width + 1)])
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            count, stats = count_dpll(formula)
+            assert sys.getrecursionlimit() == 300
+            circuit = trace_to_circuit(formula)
+        finally:
+            sys.setrecursionlimit(before)
+        assert count == 2**width - 1
+        assert stats.peak_residuals == width + 1
+        assert count_models(circuit, formula.variables) == count
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.kind)
+    def test_trace_ignores_clause_and_literal_order(self, strategy):
+        # wide enough that splits are common, so part order shows
+        rng = random.Random(2024)
+        for _ in range(200):
+            formula = random_beta_acyclic_cnf(rng, max_vars=40, max_clauses=60, max_edges=30)
+            lists = [list(c.literals) for c in formula.clauses]
+            expected = write_nnf(trace_to_circuit(formula, strategy))
+            for _ in range(2):
+                rng.shuffle(lists)
+                for lits in lists:
+                    rng.shuffle(lits)
+                shuffled = CnfFormula.from_ints(lists)
+                assert write_nnf(trace_to_circuit(shuffled, strategy)) == expected
