@@ -67,36 +67,23 @@ class Violation:
 
 class NnfCircuit:
     """Immutable gate list in topological order; the designated output gate
-    determines the computed function. Variable sets are cached per gate."""
+    determines the computed function."""
 
-    __slots__ = ("gates", "output", "varsets")
+    __slots__ = ("gates", "output")
 
     def __init__(self, gates: Iterable[Gate], output: int):
         self.gates = tuple(gates)
         self.output = output
         if not (0 <= output < len(self.gates)):
             raise ValueError(f"output index {output} out of range")
-        varsets: list[frozenset[int]] = []
         for i, gate in enumerate(self.gates):
             for c in gate_children(gate):
                 if not (0 <= c < i):
                     raise ValueError(f"gate {i} references child {c}, not strictly below it")
-            if isinstance(gate, LiteralGate):
-                if gate.literal == 0:
-                    raise ValueError("0 is not a literal")
-                varsets.append(frozenset((abs(gate.literal),)))
-            elif isinstance(gate, DecisionGate):
-                if gate.variable < 1:
-                    raise ValueError("decision variable ids must be >= 1")
-                varsets.append(
-                    frozenset((gate.variable,)) | varsets[gate.hi] | varsets[gate.lo]
-                )
-            else:
-                acc: frozenset[int] = frozenset()
-                for c in gate_children(gate):
-                    acc |= varsets[c]
-                varsets.append(acc)
-        self.varsets = tuple(varsets)
+            if isinstance(gate, LiteralGate) and gate.literal == 0:
+                raise ValueError("0 is not a literal")
+            if isinstance(gate, DecisionGate) and gate.variable < 1:
+                raise ValueError("decision variable ids must be >= 1")
 
     @property
     def size(self) -> int:
@@ -114,8 +101,15 @@ class NnfCircuit:
         return frozenset(out)
 
     @property
+    def varsets(self) -> tuple[frozenset[int], ...]:
+        """The variables below each gate, decoded anew on every access."""
+        order, masks = _variable_masks(self)
+        return tuple(_decode(order, m) for m in masks)
+
+    @property
     def output_variables(self) -> frozenset[int]:
-        return self.varsets[self.output]
+        order, masks = _variable_masks(self)
+        return _decode(order, masks[self.output])
 
     def root_at(self, gate_index: int) -> "NnfCircuit":
         """Same gate list viewed with a different output gate."""
@@ -188,28 +182,55 @@ class CircuitBuilder:
         return NnfCircuit(self._gates, output)
 
 
+def _variable_masks(circuit: NnfCircuit) -> tuple[list[int], list[int]]:
+    """The circuit's variables in increasing order, and the variables below
+    each gate as a bitset over that order: bit i is the i-th smallest
+    variable, so a sparse variable range costs no extra bits."""
+    order = sorted(circuit.variables)
+    position = {v: i for i, v in enumerate(order)}
+    masks: list[int] = []
+    for gate in circuit.gates:
+        if isinstance(gate, LiteralGate):
+            masks.append(1 << position[abs(gate.literal)])
+        elif isinstance(gate, DecisionGate):
+            masks.append((1 << position[gate.variable]) | masks[gate.hi] | masks[gate.lo])
+        else:
+            acc = 0
+            for c in gate_children(gate):
+                acc |= masks[c]
+            masks.append(acc)
+    return order, masks
+
+
+def _decode(order: list[int], mask: int) -> frozenset[int]:
+    return frozenset(order[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
+def _decomposability_violation(circuit: NnfCircuit, order: list[int], masks: list[int]) -> Violation | None:
+    for i, gate in enumerate(circuit.gates):
+        if isinstance(gate, AndGate):
+            union = 0
+            for c in dict.fromkeys(gate.children):
+                overlap = union & masks[c]
+                if overlap:  # report the smallest shared variable, the lowest bit
+                    v = order[(overlap & -overlap).bit_length() - 1]
+                    return Violation(i, f"and-gate children share variable {v}")
+                union |= masks[c]
+        elif isinstance(gate, DecisionGate):
+            # equal exactly when a branch already holds the decision variable
+            if masks[i] == masks[gate.hi] | masks[gate.lo]:
+                return Violation(i, f"decision variable {gate.variable} reappears in a branch")
+    return None
+
+
 def check_decomposable(circuit: NnfCircuit) -> tuple[bool, Violation | None]:
     """Every conjunction must have pairwise variable-disjoint inputs.
 
     Decision gates are checked through their implicit guard conjunctions:
     the decision variable may not reappear in either branch.
     """
-    for i, gate in enumerate(circuit.gates):
-        if isinstance(gate, AndGate):
-            union: set[int] = set()
-            for c in dict.fromkeys(gate.children):
-                overlap = union & circuit.varsets[c]
-                if overlap:
-                    v = min(overlap)
-                    return False, Violation(i, f"and-gate children share variable {v}")
-                union |= circuit.varsets[c]
-        elif isinstance(gate, DecisionGate):
-            for branch in (gate.hi, gate.lo):
-                if gate.variable in circuit.varsets[branch]:
-                    return False, Violation(
-                        i, f"decision variable {gate.variable} reappears in a branch"
-                    )
-    return True, None
+    violation = _decomposability_violation(circuit, *_variable_masks(circuit))
+    return violation is None, violation
 
 
 def decision_parts(circuit: NnfCircuit, gate_index: int) -> tuple[int, int, int] | None:
@@ -403,20 +424,19 @@ def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
     circuit output.
     """
     target = frozenset(variables)
-    if not circuit.variables <= target:
-        extra = sorted(circuit.variables - target)
+    order, masks = _variable_masks(circuit)
+    extra = [v for v in order if v not in target]
+    if extra:
         raise ValueError(f"circuit variables {extra} outside the counting set")
-    ok, violation = check_decomposable(circuit)
-    if not ok:
+    violation = _decomposability_violation(circuit, order, masks)
+    if violation is not None:
         raise CircuitPropertyError(f"not decomposable: gate {violation.gate}, {violation.reason}")
     ok, violation = check_decision(circuit)
     if not ok:
         raise CircuitPropertyError(f"not a decision circuit: gate {violation.gate}, {violation.reason}")
     counts: list[int] = []
     for i, gate in enumerate(circuit.gates):
-        if isinstance(gate, LiteralGate):
-            counts.append(1)
-        elif isinstance(gate, TrueGate):
+        if isinstance(gate, (LiteralGate, TrueGate)):
             counts.append(1)
         elif isinstance(gate, FalseGate):
             counts.append(0)
@@ -426,15 +446,12 @@ def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
                 n *= counts[c]
             counts.append(n)
         else:
-            if isinstance(gate, DecisionGate):
-                x, hi, lo = gate.variable, gate.hi, gate.lo
-            else:
-                x, hi, lo = decision_parts(circuit, i)
-            here = len(circuit.varsets[i])
-            gap_hi = here - 1 - len(circuit.varsets[hi])
-            gap_lo = here - 1 - len(circuit.varsets[lo])
+            _, hi, lo = decision_parts(circuit, i)
+            here = masks[i].bit_count()
+            gap_hi = here - 1 - masks[hi].bit_count()
+            gap_lo = here - 1 - masks[lo].bit_count()
             counts.append(counts[hi] * (1 << gap_hi) + counts[lo] * (1 << gap_lo))
-    outside = len(target - circuit.varsets[circuit.output])
+    outside = len(target) - masks[circuit.output].bit_count()
     return counts[circuit.output] << outside
 
 
@@ -585,6 +602,13 @@ def write_nnf(circuit: NnfCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integer(token: str, what: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise NnfParseError(f"non-integer {what} {token!r}", line) from None
+
+
 def read_nnf(text: str | bytes) -> NnfCircuit:
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -600,10 +624,7 @@ def read_nnf(text: str | bytes) -> NnfCircuit:
         break
     if len(header) != 4 or header[0] != "nnf":
         raise NnfParseError("expected header 'nnf <gates> <edges> <vars>'", body_start or 1)
-    try:
-        n_gates, n_edges, n_vars = (int(t) for t in header[1:])
-    except ValueError:
-        raise NnfParseError("non-integer header field", body_start) from None
+    n_gates, n_edges, n_vars = (_integer(t, "header field", body_start) for t in header[1:])
     gates: list[Gate] = []
     seen_edges = 0
     lineno = body_start
@@ -617,16 +638,13 @@ def read_nnf(text: str | bytes) -> NnfCircuit:
         index = len(gates)
 
         def child(token: str) -> int:
-            try:
-                c = int(token)
-            except ValueError:
-                raise NnfParseError(f"non-integer child {token!r}", lineno) from None
+            c = _integer(token, "child", lineno)
             if not (0 <= c < index):
                 raise NnfParseError(f"child {c} must reference an earlier gate", lineno)
             return c
 
         if kind == "L" and len(fields) == 2:
-            lit = int(fields[1])
+            lit = _integer(fields[1], "literal", lineno)
             if lit == 0 or abs(lit) > n_vars:
                 raise NnfParseError(f"literal {lit} out of range 1..{n_vars}", lineno)
             gates.append(LiteralGate(lit))
@@ -635,14 +653,14 @@ def read_nnf(text: str | bytes) -> NnfCircuit:
         elif kind == "F" and len(fields) == 1:
             gates.append(FalseGate())
         elif kind in ("A", "O") and len(fields) >= 2:
-            count = int(fields[1])
+            count = _integer(fields[1], "fanin count", lineno)
             if count != len(fields) - 2:
                 raise NnfParseError(f"{kind}-gate declares {count} children, lists {len(fields) - 2}", lineno)
             kids = tuple(child(t) for t in fields[2:])
             seen_edges += len(kids)
             gates.append(AndGate(kids) if kind == "A" else OrGate(kids))
         elif kind == "D" and len(fields) == 4:
-            x = int(fields[1])
+            x = _integer(fields[1], "decision variable", lineno)
             if not (1 <= x <= n_vars):
                 raise NnfParseError(f"decision variable {x} out of range 1..{n_vars}", lineno)
             hi, lo = child(fields[2]), child(fields[3])

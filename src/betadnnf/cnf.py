@@ -32,10 +32,6 @@ class Assignment:
             normalized[int(var)] = 1 if val else 0
         self._bindings = normalized
 
-    @classmethod
-    def empty(cls) -> "Assignment":
-        return cls()
-
     def domain(self) -> frozenset[int]:
         return frozenset(self._bindings)
 
@@ -208,14 +204,6 @@ class CnfFormula:
 
     def __repr__(self) -> str:
         return f"CnfFormula({self.sorted_clauses()!r})"
-
-
-def restrict(formula: CnfFormula, tau: Assignment) -> CnfFormula:
-    return formula.restrict(tau)
-
-
-def evaluate(formula: CnfFormula, tau: Assignment) -> int:
-    return formula.evaluate(tau)
 
 
 def hypergraph_of(formula: CnfFormula) -> Hypergraph:

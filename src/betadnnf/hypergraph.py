@@ -74,9 +74,6 @@ class EliminationOrder:
         i = self.rank[vertex]
         return self.sequence[i - 1] if i > 0 else None
 
-    def before(self, u: int, v: int) -> bool:
-        return self.rank[u] < self.rank[v]
-
     def __len__(self) -> int:
         return len(self.sequence)
 
@@ -192,10 +189,6 @@ class EdgeOrder:
 
     def max(self, edges: Iterable[frozenset[int]]) -> frozenset[int]:
         return max(edges, key=self.key)
-
-
-def edge_order(hypergraph: Hypergraph, order: EliminationOrder) -> EdgeOrder:
-    return EdgeOrder(hypergraph, order)
 
 
 def sub_hypergraph(

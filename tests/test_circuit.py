@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,20 +15,27 @@ from betadnnf import (
     count_models,
     equivalent_to_formula,
     read_nnf,
+    trace_to_circuit,
     write_nnf,
 )
 from betadnnf.circuit import (
     CircuitBuilder,
+    DecisionGate,
+    LiteralGate,
     NnfCircuit,
+    TrueGate,
+    Violation,
     Vtree,
     condition,
     decision_parts,
     evaluate,
+    gate_children,
     is_satisfiable,
     respects_vtree,
     truth_tables,
 )
 from betadnnf.errors import CapExceededError, CircuitPropertyError, NnfParseError
+from betadnnf.dpll import OrderStrategy
 from betadnnf.generators import random_beta_acyclic_cnf
 
 
@@ -278,6 +286,19 @@ class TestNnfFormat:
         with pytest.raises(NnfParseError):
             read_nnf(text)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("nnf 1 0 1\nL x\n", 2),
+            ("nnf 2 1 1\nL 1\nA y 0\n", 3),
+            ("nnf 2 2 1\nL 1\nD y 0 0\n", 3),
+        ],
+    )
+    def test_non_integer_fields_name_their_line(self, text, line):
+        with pytest.raises(NnfParseError) as info:
+            read_nnf(text)
+        assert info.value.line == line
+
     def test_comment_lines_ignored(self):
         circuit = read_nnf("c header comment\nnnf 1 0 2\nc body\nL -2\n")
         assert circuit.variables == {2}
@@ -292,3 +313,86 @@ class TestTruthTables:
             # assignment index k has bit i equal to the value of variable i+1
             index = sum(bits[i] << i for i in range(3))
             assert (out >> index) & 1 == evaluate(fig3, tau)
+
+
+def reference_varsets(circuit: NnfCircuit) -> list[frozenset[int]]:
+    """The variables met by a DFS from each gate, one search per gate."""
+    out = []
+    for root in range(circuit.size):
+        seen, stack, found = set(), [root], set()
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            gate = circuit.gates[i]
+            if isinstance(gate, LiteralGate):
+                found.add(abs(gate.literal))
+            elif isinstance(gate, DecisionGate):
+                found.add(gate.variable)
+            stack.extend(gate_children(gate))
+        out.append(frozenset(found))
+    return out
+
+
+class TestVariableSets:
+    def test_match_a_dfs_on_compiled_circuits_and_traces(self):
+        rng = random.Random(17)
+        strategies = [OrderStrategy.lexicographic(), OrderStrategy.reverse_beta_elimination()]
+        for k in range(100):
+            formula = random_beta_acyclic_cnf(rng, max_vars=12, max_clauses=16)
+            for circuit in (compile_cnf(formula)[0], trace_to_circuit(formula, strategies[k % 2])):
+                expected = reference_varsets(circuit)
+                assert list(circuit.varsets) == expected
+                assert circuit.output_variables == expected[circuit.output]
+
+    def test_sparse_variable_ids_cost_one_bit_each(self):
+        text = "nnf 3 2 1000000000\nL 1000000000\nL 3\nA 2 0 1\n"
+        tracemalloc.start()
+        try:
+            circuit = read_nnf(text)
+            decomposable = check_decomposable(circuit)[0]
+            count = count_models(circuit, {3, 10**9})
+            varsets = circuit.varsets
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decomposable and count == 1
+        assert varsets[2] == {3, 10**9}
+        assert peak < 1_000_000
+
+    def test_shared_variables_report_the_smallest(self):
+        b = CircuitBuilder()
+        left = b.and_([b.literal(7), b.literal(3)])
+        right = b.and_([b.literal(-7), b.literal(5), b.literal(-3)])
+        top = b.and_([left, right])
+        circuit = b.build(top)
+        reason = "and-gate children share variable 3"
+        assert check_decomposable(circuit) == (False, Violation(top, reason))
+        with pytest.raises(CircuitPropertyError, match=f"gate {top}, {reason}"):
+            count_models(circuit, {3, 5, 7})
+
+    @pytest.mark.parametrize("hi,lo", [(0, 1), (2, 0)])
+    def test_reused_decision_variable(self, hi, lo):
+        # gates x2, true, x5, then a decision on 2 with x2 as one branch
+        gates = [LiteralGate(2), TrueGate(), LiteralGate(5), DecisionGate(2, hi, lo)]
+        circuit = NnfCircuit(gates, 3)
+        reason = "decision variable 2 reappears in a branch"
+        assert check_decomposable(circuit) == (False, Violation(3, reason))
+        with pytest.raises(CircuitPropertyError, match=f"gate 3, {reason}"):
+            count_models(circuit, {2, 5})
+
+
+class TestMemory:
+    def test_wide_clause_trace_round_trip(self):
+        width = 1000
+        formula = CnfFormula.from_ints([range(1, width + 1)])
+        tracemalloc.start()
+        try:
+            text = write_nnf(trace_to_circuit(formula))
+            count = count_models(read_nnf(text), formula.variables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 2**width - 1
+        assert peak < 12_000_000

@@ -245,3 +245,10 @@ class TestCliContract:
         code, _, err = run(capsys, "count", str(path))
         assert code == 2
         assert "terminating 0" in err
+
+    def test_malformed_circuit_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.nnf"
+        path.write_text("nnf 1 0 1\nL x\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err == "error: line 2: non-integer literal 'x'\n"

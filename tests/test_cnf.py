@@ -14,7 +14,6 @@ from betadnnf import (
     parse_dimacs,
     write_dimacs,
 )
-from betadnnf.cnf import evaluate, restrict
 from betadnnf.errors import CapExceededError, DimacsParseError
 from betadnnf.hypergraph import EliminationOrder
 
@@ -74,21 +73,21 @@ class TestParse:
 
 class TestRestrict:
     def test_worked_example(self, fstar):
-        got = restrict(fstar, Assignment({5: 0}))
+        got = fstar.restrict(Assignment({5: 0}))
         assert clause_set(got) == {(1, 2), (3, 4), (2,), (4,), (2, 4)}
 
     def test_empty_assignment_is_identity(self, fstar):
-        assert restrict(fstar, Assignment()) == fstar
+        assert fstar.restrict(Assignment()) == fstar
 
     def test_falsified_clause_becomes_empty(self):
         f = CnfFormula.from_ints([[1, 2]])
-        got = restrict(f, Assignment({1: 0, 2: 0}))
+        got = f.restrict(Assignment({1: 0, 2: 0}))
         assert got.has_empty_clause()
 
     def test_size_never_grows(self, fstar):
         for bits in itertools.product((0, 1), repeat=3):
             tau = Assignment(dict(zip((1, 3, 5), bits)))
-            assert restrict(fstar, tau).size <= fstar.size
+            assert fstar.restrict(tau).size <= fstar.size
 
 
 class TestFalsifyingAssignment:
@@ -153,7 +152,7 @@ class TestBruteForce:
     def test_matches_naive_enumeration(self, fstar):
         variables = sorted(fstar.variables)
         naive = sum(
-            evaluate(fstar, Assignment(dict(zip(variables, bits))))
+            fstar.evaluate(Assignment(dict(zip(variables, bits))))
             for bits in itertools.product((0, 1), repeat=len(variables))
         )
         assert brute_force_count(fstar, variables) == naive == 13
@@ -161,17 +160,17 @@ class TestBruteForce:
 
 class TestEvaluate:
     def test_all_ones(self, fstar):
-        assert evaluate(fstar, Assignment({v: 1 for v in range(1, 6)})) == 1
+        assert fstar.evaluate(Assignment({v: 1 for v in range(1, 6)})) == 1
 
     def test_all_zeros(self, fstar):
-        assert evaluate(fstar, Assignment({v: 0 for v in range(1, 6)})) == 0
+        assert fstar.evaluate(Assignment({v: 0 for v in range(1, 6)})) == 0
 
     def test_mixed(self, fstar):
-        assert evaluate(fstar, Assignment({1: 0, 2: 1, 3: 1, 4: 1, 5: 0})) == 1
+        assert fstar.evaluate(Assignment({1: 0, 2: 1, 3: 1, 4: 1, 5: 0})) == 1
 
     def test_unbound_variable_named(self, fstar):
         with pytest.raises(ValueError, match="3"):
-            evaluate(fstar, Assignment({1: 1, 2: 1, 4: 1, 5: 1}))
+            fstar.evaluate(Assignment({1: 1, 2: 1, 4: 1, 5: 1}))
 
 
 class TestAssignment:
@@ -216,12 +215,12 @@ def test_restriction_soundness(data, salt):
     variables = list(range(1, n + 1))
     bound = [v for v in variables if (salt >> v) & 1]
     tau = Assignment({v: (salt >> (v + 8)) & 1 for v in bound})
-    residual = restrict(formula, tau)
+    residual = formula.restrict(tau)
     free = [v for v in variables if v not in bound]
     for bits in itertools.product((0, 1), repeat=len(free)):
         sigma = Assignment(dict(zip(free, bits)))
-        assert evaluate(residual, sigma.union(tau).restrict(residual.variables)) == evaluate(
-            formula, tau.union(sigma)
+        assert residual.evaluate(sigma.union(tau).restrict(residual.variables)) == formula.evaluate(
+            tau.union(sigma)
         )
     assert residual.size <= formula.size
 

@@ -11,7 +11,6 @@ from betadnnf.hypergraph import (
     beta_elimination_order,
     connected_components,
     decreasing_path,
-    edge_order,
     is_beta_acyclic,
     parse_hypergraph,
     satisfies_beta_condition,
@@ -69,11 +68,11 @@ class TestEliminationOrder:
 
 class TestEdgeOrder:
     def test_worked_example_sequence(self, fstar_hypergraph):
-        eo = edge_order(fstar_hypergraph, ORDER)
+        eo = EdgeOrder(fstar_hypergraph, ORDER)
         assert eo.sort(fstar_hypergraph.edges) == [E1, E2, E3, E4, E5]
 
     def test_pair_comparison(self, fstar_hypergraph):
-        eo = edge_order(fstar_hypergraph, ORDER)
+        eo = EdgeOrder(fstar_hypergraph, ORDER)
         # symmetric difference {1, 5} has its maximum inside {2, 5}
         assert eo.less(E1, E3)
         assert not eo.less(E3, E1)
@@ -84,13 +83,13 @@ class TestEdgeOrder:
         for _ in range(30):
             h = random_beta_acyclic_hypergraph(rng, max_vertices=8)
             order = beta_elimination_order(h)
-            eo = edge_order(h, order)
+            eo = EdgeOrder(h, order)
             for e, f in itertools.combinations(h.edges, 2):
                 assert eo.less(e, f) != eo.less(f, e)
 
     def test_missing_vertex_rejected(self, fstar_hypergraph):
         with pytest.raises(ValueError, match="5"):
-            edge_order(fstar_hypergraph, EliminationOrder((1, 2, 3, 4)))
+            EdgeOrder(fstar_hypergraph, EliminationOrder((1, 2, 3, 4)))
 
 
 class TestSubHypergraph:
