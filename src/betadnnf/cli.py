@@ -42,8 +42,16 @@ def _load_formula(path: str) -> cnf_mod.CnfFormula:
     return cnf_mod.parse_dimacs(_read_text(path))
 
 
-def _load_order(path: str) -> hg_mod.EliminationOrder:
-    vertices = [int(line.strip()) for line in _read_text(path).splitlines() if line.strip()]
+def _load_order(path: str | None) -> hg_mod.EliminationOrder | None:
+    if not path:
+        return None
+    vertices = []
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if line.strip():
+            try:
+                vertices.append(int(line))
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer vertex id {line.strip()!r}") from None
     return hg_mod.EliminationOrder(vertices)
 
 
@@ -56,12 +64,6 @@ def _refuse_wider(width: int, cap: int, what: str) -> None:
     """Refuse before a set of `width` variables is built."""
     if width > cap:
         raise CapExceededError(f"{width} variables exceed the {what} cap of {cap}", cap)
-
-
-def _order_for(formula: cnf_mod.CnfFormula, args) -> hg_mod.EliminationOrder | None:
-    if getattr(args, "order", None):
-        return _load_order(args.order)
-    return None
 
 
 def cmd_check(args) -> int:
@@ -81,18 +83,14 @@ def cmd_check(args) -> int:
 
 def cmd_order(args) -> int:
     formula = _load_formula(args.formula)
-    found = hg_mod.beta_elimination_order(cnf_mod.hypergraph_of(formula))
-    if isinstance(found, hg_mod.NotBetaAcyclic):
-        print(f"not beta-acyclic: stuck at {sorted(found.stuck_vertices)}", file=sys.stderr)
-        return EXIT_FAIL
-    for v in found.sequence:
+    for v in hg_mod.beta_elimination_order_or_refuse(cnf_mod.hypergraph_of(formula)).sequence:
         print(v)
     return EXIT_OK
 
 
 def cmd_compile(args) -> int:
     formula = _load_formula(args.formula)
-    circuit, report = compiler_mod.compile_cnf(formula, _order_for(formula, args))
+    circuit, report = compiler_mod.compile_cnf(formula, _load_order(args.order))
     circuit_mod.write_nnf_file(circuit, args.output)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
@@ -113,16 +111,15 @@ def cmd_count(args) -> int:
         _refuse_wider(width, args.cap_vars, "enumeration")
         n = cnf_mod.brute_force_count(formula, range(1, width + 1), cap=args.cap_vars)
     elif args.method == "compile":
-        circuit, _ = compiler_mod.compile_cnf(formula, _order_for(formula, args))
+        circuit, _ = compiler_mod.compile_cnf(formula, _load_order(args.order))
         n = circuit_mod.count_models(circuit, formula.variables) << free
     else:
-        strategy = dpll_mod.OrderStrategy.lexicographic()
-        if args.method == "dpll":
-            if not formula.has_empty_clause() and formula.clauses:
-                graph = cnf_mod.hypergraph_of(formula)
-                if hg_mod.is_beta_acyclic(graph):
-                    strategy = dpll_mod.OrderStrategy.reverse_beta_elimination()
-        count, _ = dpll_mod.count_dpll(formula, strategy, budget=args.budget)
+        try:  # the strategy refuses before the search starts
+            count, _ = dpll_mod.count_dpll(
+                formula, dpll_mod.OrderStrategy.reverse_beta_elimination(), budget=args.budget)
+        except NotBetaAcyclicError:
+            count, _ = dpll_mod.count_dpll(
+                formula, dpll_mod.OrderStrategy.lexicographic(), budget=args.budget)
         n = count << free
     print(n)
     return EXIT_OK

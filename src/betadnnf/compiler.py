@@ -16,13 +16,11 @@ from typing import Iterable, NamedTuple
 
 from .circuit import AndGate, CircuitBuilder, NnfCircuit, prune_unreachable
 from .cnf import Assignment, Clause, CnfFormula, falsifying_assignment, hypergraph_of
-from .errors import NotBetaAcyclicError
 from .hypergraph import (
     EdgeOrder,
     EliminationOrder,
-    NotBetaAcyclic,
     beta_condition_violation,
-    beta_elimination_order,
+    beta_elimination_order_or_refuse,
     connected_components,
 )
 
@@ -76,13 +74,7 @@ class Compiler:
         self.formula = formula
         self.hypergraph = hypergraph_of(formula)
         if order is None:
-            found = beta_elimination_order(self.hypergraph)
-            if isinstance(found, NotBetaAcyclic):
-                raise NotBetaAcyclicError(
-                    f"no nest point among vertices {sorted(found.stuck_vertices)}",
-                    found.stuck_vertices,
-                )
-            order = found
+            order = beta_elimination_order_or_refuse(self.hypergraph)
         else:
             violation = beta_condition_violation(self.hypergraph, order)
             if violation is not None:

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 from .circuit import CircuitBuilder, NnfCircuit
 from .cnf import CnfFormula
-from .errors import BudgetExceededError, NotBetaAcyclicError
-from .hypergraph import NotBetaAcyclic, beta_elimination_order
+from .errors import BudgetExceededError
+from .hypergraph import beta_elimination_order_or_refuse
 from . import cnf as cnf_mod
 
 
@@ -49,13 +49,8 @@ class OrderStrategy:
                 raise ValueError(f"fixed order misses variables {sorted(missing)}")
             return self.sequence
         if self.kind == "reverse-beta":
-            found = beta_elimination_order(cnf_mod.hypergraph_of(formula))
-            if isinstance(found, NotBetaAcyclic):
-                raise NotBetaAcyclicError(
-                    "reverse elimination order requires a beta-acyclic formula",
-                    found.stuck_vertices,
-                )
-            return tuple(reversed(found.sequence))
+            order = beta_elimination_order_or_refuse(cnf_mod.hypergraph_of(formula))
+            return tuple(reversed(order.sequence))
         raise ValueError(f"unknown strategy {self.kind!r}")
 
 

@@ -8,9 +8,12 @@ beta-elimination order.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
+
+from .errors import NotBetaAcyclicError
 
 
 @dataclass(frozen=True)
@@ -27,9 +30,6 @@ class Hypergraph:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for e in self.edges for v in e)
-
-    def edges_with(self, vertex: int) -> list[frozenset[int]]:
-        return [e for e in self.edges if vertex in e]
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -67,8 +67,10 @@ class EliminationOrder:
             object.__setattr__(self, "_rank", cached)
         return cached
 
-    def covers(self, vertices: Iterable[int]) -> bool:
-        return set(vertices) <= set(self.sequence)
+    def check_covers(self, vertices: Iterable[int]) -> None:
+        missing = set(vertices) - set(self.sequence)
+        if missing:
+            raise ValueError(f"order does not cover vertices {sorted(missing)}")
 
     def predecessor(self, vertex: int) -> int | None:
         i = self.rank[vertex]
@@ -85,9 +87,26 @@ class NotBetaAcyclic:
     stuck_vertices: frozenset[int]
 
 
-def _is_chain(sets: list[frozenset[int]]) -> bool:
-    sets = sorted(sets, key=len)
-    return all(sets[i] <= sets[i + 1] for i in range(len(sets) - 1))
+def _incidence(edges: Iterable[frozenset[int]]) -> dict[int, list[frozenset[int]]]:
+    """The edges through each vertex, in the order given, in one pass."""
+    incident: dict[int, list[frozenset[int]]] = {}
+    for e in edges:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    return incident
+
+
+def _chain_break(through: list[frozenset[int]], residual: dict[frozenset[int], set[int]]):
+    """The nest-point test on the edges through one vertex, each read as
+    its residual (what deletions left of it): two with incomparable
+    residuals, or None when they form a chain. A lone edge is not read."""
+    if len(through) < 2:
+        return None
+    by_size = sorted(through, key=lambda e: len(residual[e]))
+    for e, f in zip(by_size, by_size[1:]):
+        if not residual[e] <= residual[f]:  # |f| >= |e|, so f ⊆ e would make e = f
+            return e, f
+    return None
 
 
 def beta_condition_violation(
@@ -98,23 +117,15 @@ def beta_condition_violation(
     The condition: for each prefix ending at vertex x, any two edges through
     x must be inclusion-comparable once the prefix is deleted.
     """
-    if not order.covers(hypergraph.vertices):
-        missing = sorted(hypergraph.vertices - set(order.sequence))
-        raise ValueError(f"order does not cover vertices {missing}")
-    eliminated: set[int] = set()
+    order.check_covers(hypergraph.vertices)
+    incident = _incidence(hypergraph.edges)
+    residual = {e: set(e) for e in hypergraph.edges}
     for x in order.sequence:
-        eliminated.add(x)
-        incident = [e - eliminated for e in hypergraph.edges if x in e]
-        incident.sort(key=len)
-        for i in range(len(incident) - 1):
-            if not incident[i] <= incident[i + 1]:
-                # a longer suffix cannot contain a shorter incomparable one
-                full = [e for e in hypergraph.edges if x in e]
-                for a in full:
-                    for b in full:
-                        ra, rb = a - eliminated, b - eliminated
-                        if not (ra <= rb or rb <= ra):
-                            return (x, a, b)
+        through = incident.get(x, [])
+        if pair := _chain_break(through, residual):
+            return x, *pair
+        for e in through:
+            residual[e].discard(x)
     return None
 
 
@@ -128,26 +139,46 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
     Returns an order satisfying the elimination condition (re-verified
     before returning), or a NotBetaAcyclic certificate naming the vertex
     set at which every candidate fails.
+
+    Candidates come off a heap, least first. A vertex that fails is set
+    aside until a vertex sharing an edge with it is deleted, as no other
+    deletion changes its residual edges. A nest point stays one when other
+    vertices are deleted (A ⊆ B gives A - v ⊆ B - v), so taking the least
+    one first never blocks the others.
     """
-    remaining_edges = {e for e in hypergraph.edges}
-    remaining_vertices = set(hypergraph.vertices)
+    incident = _incidence(hypergraph.edges)
+    residual = {e: set(e) for e in hypergraph.edges}
+    heap = sorted(incident)  # a sorted list is a heap
+    failed: set[int] = set()
     sequence: list[int] = []
-    while remaining_vertices:
-        nest_point = None
-        for x in sorted(remaining_vertices):
-            if _is_chain([e for e in remaining_edges if x in e]):
-                nest_point = x
-                break
-        if nest_point is None:
-            return NotBetaAcyclic(frozenset(remaining_vertices))
-        sequence.append(nest_point)
-        remaining_vertices.remove(nest_point)
-        remaining_edges = {e - {nest_point} for e in remaining_edges}
-        remaining_edges.discard(frozenset())
+    while heap:
+        x = heapq.heappop(heap)
+        if _chain_break(incident[x], residual) is not None:
+            failed.add(x)
+            continue
+        sequence.append(x)
+        for e in incident[x]:
+            residual[e].discard(x)
+            for y in failed & residual[e]:  # iterates the smaller set
+                failed.remove(y)
+                heapq.heappush(heap, y)
+    if failed:
+        return NotBetaAcyclic(frozenset(failed))
     order = EliminationOrder(sequence)
     if beta_condition_violation(hypergraph, order) is not None:
         raise AssertionError("greedy elimination produced an invalid order")
     return order
+
+
+def beta_elimination_order_or_refuse(hypergraph: Hypergraph) -> EliminationOrder:
+    """The greedy order, or NotBetaAcyclicError naming the stuck vertices."""
+    found = beta_elimination_order(hypergraph)
+    if isinstance(found, NotBetaAcyclic):
+        raise NotBetaAcyclicError(
+            f"no nest point among vertices {sorted(found.stuck_vertices)}",
+            found.stuck_vertices,
+        )
+    return found
 
 
 def is_beta_acyclic(hypergraph: Hypergraph) -> bool:
@@ -163,9 +194,7 @@ class EdgeOrder:
     """
 
     def __init__(self, hypergraph: Hypergraph, order: EliminationOrder):
-        if not order.covers(hypergraph.vertices):
-            missing = sorted(hypergraph.vertices - set(order.sequence))
-            raise ValueError(f"order does not cover vertices {missing}")
+        order.check_covers(hypergraph.vertices)
         self.order = order
         self._keys: dict[frozenset[int], int] = {}
         for e in hypergraph.edges:
@@ -210,19 +239,14 @@ def sub_hypergraph(
     eo = EdgeOrder(hypergraph, order)
     bar = order.rank[cutoff]
     limit = eo.key(e)
-    by_vertex: dict[int, list[frozenset[int]]] = {}
-    for f in hypergraph.edges:
-        if eo.key(f) <= limit:
-            for v in f:
-                if order.rank[v] <= bar:
-                    by_vertex.setdefault(v, []).append(f)
+    incident = _incidence(f for f in hypergraph.edges if eo.key(f) <= limit)
     reached = {e}
     queue = deque([e])
     while queue:
         g = queue.popleft()
         for v in g:
             if order.rank[v] <= bar:
-                for f in by_vertex.get(v, ()):
+                for f in incident[v]:
                     if f not in reached:
                         reached.add(f)
                         queue.append(f)
@@ -315,10 +339,7 @@ def decreasing_path(
 def connected_components(hypergraph: Hypergraph) -> list[Hypergraph]:
     """Partition of the edges by shared-vertex reachability."""
     unvisited = set(hypergraph.edges)
-    by_vertex: dict[int, list[frozenset[int]]] = {}
-    for e in hypergraph.edges:
-        for v in e:
-            by_vertex.setdefault(v, []).append(e)
+    incident = _incidence(hypergraph.edges)
     components = []
     for start in hypergraph.sorted_edges():
         if start not in unvisited:
@@ -329,7 +350,7 @@ def connected_components(hypergraph: Hypergraph) -> list[Hypergraph]:
         while queue:
             g = queue.popleft()
             for v in g:
-                for f in by_vertex[v]:
+                for f in incident[v]:
                     if f in unvisited:
                         unvisited.remove(f)
                         block.add(f)

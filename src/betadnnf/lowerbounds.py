@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .cnf import Assignment, Clause, CnfFormula, hypergraph_of
-from .errors import CapExceededError, NotBetaAcyclicError
+from .errors import CapExceededError
 from .hypergraph import (
     EliminationOrder,
-    NotBetaAcyclic,
-    beta_elimination_order,
+    beta_elimination_order_or_refuse,
     is_beta_acyclic,
     satisfies_beta_condition,
 )
@@ -422,15 +421,10 @@ def hat(formula: CnfFormula) -> CnfFormula:
 def hat_order(formula: CnfFormula) -> EliminationOrder:
     """Elimination order for the widened formula: all fresh clause
     variables first, then an elimination order of the original."""
-    found = beta_elimination_order(hypergraph_of(formula))
-    if isinstance(found, NotBetaAcyclic):
-        raise NotBetaAcyclicError(
-            f"no nest point among vertices {sorted(found.stuck_vertices)}",
-            found.stuck_vertices,
-        )
+    order = beta_elimination_order_or_refuse(hypergraph_of(formula))
     base = max(formula.variables, default=0)
     fresh = tuple(range(base + 1, base + 1 + len(formula.clauses)))
-    return EliminationOrder(fresh + found.sequence)
+    return EliminationOrder(fresh + order.sequence)
 
 
 def hat_preserves_beta(formula: CnfFormula) -> bool:

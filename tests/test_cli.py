@@ -1,10 +1,11 @@
 import json
 import os
+import sys
 import time
 
 import pytest
 
-from betadnnf import cli, dpll
+from betadnnf import cli, dpll, hypergraph
 from betadnnf.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -64,6 +65,29 @@ class TestCount:
         code, out, _ = run(capsys, "count", str(path), "--method", method)
         assert (code, out) == (0, f"{2**39}\n")
 
+    def test_dpll_computes_the_order_once(self, capsys, monkeypatch):
+        original = hypergraph.beta_elimination_order
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        # rebind every module-level name the package resolves it by
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("betadnnf"):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(capsys, "count", fstar_path(), "--method", "dpll")
+        assert (code, out) == (0, "13\n")
+        assert len(calls) == 1
+
+    def test_dpll_falls_back_to_lex_order(self, capsys):
+        code, out, _ = run(capsys, "count", os.path.join(GOLDEN, "triangle.cnf"),
+                           "--method", "dpll")
+        assert (code, out) == (0, "4\n")
+
 
 class TestCheck:
     def test_beta_acyclic(self, capsys):
@@ -77,6 +101,9 @@ class TestCheck:
         assert code == 1
         assert "no" in out
         assert "stuck" in err
+        code, out, err = run(capsys, "order", os.path.join(GOLDEN, "triangle.cnf"))
+        assert (code, out) == (1, "")
+        assert "no nest point among vertices [1, 2, 3]" in err
 
     def test_order_subcommand(self, capsys):
         code, out, _ = run(capsys, "order", fstar_path())
@@ -127,6 +154,20 @@ class TestCompileVerify:
         code, *_ = run(capsys, "compile", fstar_path(), "-o", str(out_path),
                        "--order", str(order_path))
         assert code == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("1\n2\n\nx\n4\n5\n", "line 4: non-integer vertex id 'x'"),
+        ("5\n4\n3\n2\n1\n", "conflict at vertex 5"),
+        ("1\n2\n3\n", "does not cover vertices [4, 5]"),
+    ])
+    def test_bad_order_file_is_a_usage_error(self, capsys, tmp_path, text, message):
+        order_path = tmp_path / "order.txt"
+        order_path.write_text(text)
+        for argv in (["compile", fstar_path(), "-o", str(tmp_path / "c.nnf")],
+                     ["count", fstar_path()]):
+            code, out, err = run(capsys, *argv, "--order", str(order_path))
+            assert (code, out) == (2, "")
+            assert message in err
 
 
 class TestDpllCommand:

@@ -58,8 +58,9 @@ class TestCount:
 
     def test_reverse_beta_requires_acyclicity(self):
         triangle = CnfFormula.from_ints([[1, 2], [2, 3], [1, 3]])
-        with pytest.raises(NotBetaAcyclicError):
+        with pytest.raises(NotBetaAcyclicError, match=r"\[1, 2, 3\]") as err:
             count_dpll(triangle, OrderStrategy.reverse_beta_elimination())
+        assert err.value.certificate == {1, 2, 3}
 
     def test_budget_abort(self, fstar):
         with pytest.raises(BudgetExceededError):

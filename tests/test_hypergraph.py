@@ -8,6 +8,7 @@ from betadnnf.hypergraph import (
     EliminationOrder,
     Hypergraph,
     NotBetaAcyclic,
+    beta_condition_violation,
     beta_elimination_order,
     connected_components,
     decreasing_path,
@@ -64,6 +65,90 @@ class TestEliminationOrder:
                 for perm in itertools.permutations(vertices)
             )
             assert is_beta_acyclic(h) == brute
+
+
+def _chain_through(h, deleted, x):
+    """By definition: the edges through x, less `deleted`, are pairwise
+    inclusion-comparable."""
+    left = [e - deleted for e in h.edges if x in e]
+    return all(a <= b or b <= a for a, b in itertools.combinations(left, 2))
+
+
+def _random_hypergraph(rng):
+    """Small random edges, beta-acyclic or not."""
+    n = rng.randint(1, 9)
+    return Hypergraph(
+        rng.sample(range(1, n + 1), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 9))
+    )
+
+
+class TestOrderEngine:
+    """The greedy and the verifier against the definitions."""
+
+    def test_greedy_deletes_the_least_nest_point(self):
+        rng = random.Random(41)
+        outcomes = {EliminationOrder: 0, NotBetaAcyclic: 0}
+        for _ in range(2500):
+            h = _random_hypergraph(rng)
+            got = beta_elimination_order(h)
+            outcomes[type(got)] += 1
+            deleted, left = set(), set(h.vertices)
+            for x in got.sequence if isinstance(got, EliminationOrder) else ():
+                assert x == min(v for v in left if _chain_through(h, deleted, v))
+                deleted.add(x)
+                left.remove(x)
+            if isinstance(got, EliminationOrder):
+                assert not left
+                continue
+            # the certificate is where the least-first walk stops: the
+            # vertices left, none of them a nest point
+            while nests := [v for v in left if _chain_through(h, deleted, v)]:
+                deleted.add(min(nests))
+                left.remove(min(nests))
+            assert got.stuck_vertices == left
+        assert min(outcomes.values()) > 300
+
+    def test_verifier_names_the_first_failing_vertex(self):
+        rng = random.Random(43)
+        verdicts = {True: 0, False: 0}
+        for _ in range(2500):
+            h = _random_hypergraph(rng)
+            perm = sorted(h.vertices)
+            rng.shuffle(perm)
+            greedy = beta_elimination_order(h)
+            if isinstance(greedy, EliminationOrder) and rng.random() < 0.5:
+                perm = list(greedy.sequence)
+            got = beta_condition_violation(h, EliminationOrder(perm))
+            first = next(
+                (i for i, x in enumerate(perm) if not _chain_through(h, set(perm[: i + 1]), x)),
+                None,
+            )
+            verdicts[got is None] += 1
+            if first is None:
+                assert got is None
+                continue
+            x, e, f = got
+            prefix = set(perm[: first + 1])
+            assert x == perm[first]
+            assert e in h.edges and f in h.edges and x in e & f
+            assert not (e - prefix <= f - prefix or f - prefix <= e - prefix)
+        assert min(verdicts.values()) > 300
+
+    @pytest.mark.parametrize("edges, sequence", [
+        # the centre fails until one leaf is left, so it is woken each time
+        ([{1, v} for v in range(2, 2002)], (*range(2, 2001), 1, 2001)),
+        ([range(1, 2001)], tuple(range(1, 2001))),
+        ([range(1, k + 1) for k in range(1, 301)], tuple(range(1, 301))),
+    ], ids=["star", "one-edge", "nested"])
+    def test_shapes(self, edges, sequence):
+        h = Hypergraph(edges)
+        assert beta_elimination_order(h).sequence == sequence
+        assert beta_condition_violation(h, EliminationOrder(sequence)) is None
+
+    def test_star_violation(self):
+        star = Hypergraph([{1, v} for v in range(2, 2002)])
+        x, e, f = beta_condition_violation(star, EliminationOrder(range(1, 2002)))
+        assert x == 1 and e != f and 1 in e & f
 
 
 class TestEdgeOrder:
