@@ -104,6 +104,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.order and args.method != "compile":
+        raise ValueError(f"--order applies only to --method compile, not --method {args.method}")
     formula = _load_formula(args.formula)
     width = _width(formula)
     free = width - len(formula.variables)  # declared but in no clause

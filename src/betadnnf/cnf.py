@@ -7,8 +7,8 @@ duplicate literals/clauses collapse and clause order is irrelevant.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
 
 from .errors import CapExceededError, DimacsParseError
 from .hypergraph import Hypergraph

@@ -21,7 +21,6 @@ from .hypergraph import (
     EliminationOrder,
     beta_condition_violation,
     beta_elimination_order_or_refuse,
-    connected_components,
 )
 
 
@@ -102,73 +101,82 @@ class Compiler:
                 self.clause_counts[v] += 1
         self.builder = CircuitBuilder()
         self.cache: dict[SubFormulaKey, int] = {}
-        self._reach_memo: dict[tuple[frozenset[int], int], list[int]] = {}
+        self._cutoff = len(order)  # past every rank: the first query builds the forest
         self.full_circuit: NnfCircuit | None = None
+
+    def _forest_at(self, rank: int) -> None:
+        """Move the reachability forest to the cutoff of this rank, from
+        empty if it is earlier. The forest is heap-ordered over edge indices;
+        at cutoff y the subtree of f is R(f, y) (`compute_U`). Advancing to v
+        joins consecutive edges a, b through v by zipping their root paths
+        into one path in index order, the merge of mergeable trees
+        (Georgiadis et al., ACM TALG 2011): the edges newly reaching an edge
+        g through a and b are the path nodes above g's first one."""
+        if rank < self._cutoff:  # every edge alone
+            m = len(self.edges)
+            self._cutoff, self._parent = -1, [m] * m  # m names a virtual root over every tree
+            self._children: list[set[int]] = [set() for _ in range(m + 1)]
+        parent, children = self._parent, self._children
+        while self._cutoff < rank:
+            self._cutoff += 1
+            through = self.edges_with[self.order.sequence[self._cutoff]]
+            for a, b in zip(through, through[1:]):
+                while a != b:
+                    if a > b:
+                        a, b = b, a
+                    up = parent[a]
+                    if up > b:
+                        children[up].discard(a)
+                        parent[a] = b
+                        children[b].add(a)
+                    a = up
 
     def reachable_edges(self, edge: frozenset[int], cutoff: int) -> list[int]:
         """Indices, ascending, of the edges reachable from `edge` through
         edges at most `edge` and vertices at most `cutoff`: the edges of
-        `hypergraph.sub_hypergraph(..., edge, cutoff)`."""
+        `hypergraph.sub_hypergraph(..., edge, cutoff)`, read off the forest."""
         start = self.edge_index.get(edge)
         if start is None:
             raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
         if not self.edges_with.get(cutoff):
             raise ValueError(f"vertex {cutoff} not in the hypergraph")
-        rank = self.order.rank
-        bar = rank[cutoff]
-        edges, edges_with = self.edges, self.edges_with
-        seen = {start}
-        stack = [start]
-        while stack:
-            for v in edges[stack.pop()]:
-                if rank[v] <= bar:
-                    for f in edges_with[v]:
-                        if f > start:
-                            break
-                        if f not in seen:
-                            seen.add(f)
-                            stack.append(f)
-        return sorted(seen)
-
-    def sub_formula(self, edge: Iterable[int], cutoff: int) -> CnfFormula:
-        """Clauses whose variable set is an edge reachable around `edge`."""
-        return CnfFormula(
-            self.clauses[cid]
-            for i in self.reachable_edges(frozenset(edge), cutoff)
-            for cid in self.clauses_by_edge[self.edges[i]]
-        )
+        self._forest_at(self.order.rank[cutoff])
+        subtree = [start]
+        for g in subtree:
+            subtree.extend(self._children[g])
+        return sorted(subtree)
 
     def restriction_above(self, clause: Clause, cutoff: int) -> Assignment:
         return falsifying_assignment(clause, self.order, cutoff)
-
-    def _cache_key(self, edge: frozenset[int], tau: Assignment, cutoff: int) -> SubFormulaKey:
-        return SubFormulaKey(self.edge_index[edge], tau.as_key(), cutoff)
 
     def compute_U(
         self, edge: Iterable[int], x: int, tau: Assignment
     ) -> Tautology | list[tuple[frozenset[int], int]]:
         """Decompose the restricted sub-formula at (edge, x) into independent
-        pieces rooted one stage earlier.
+        pieces rooted one stage earlier: TAUTOLOGY when `tau` satisfies every
+        clause in scope, else, in edge order, the candidates (edges of
+        R(edge, x) with a clause that `tau` fails) in R(f, y) for no other
+        candidate f, y being the predecessor of x, each with the lowest-id
+        clause that `tau` fails.
 
-        Returns TAUTOLOGY when `tau` satisfies every clause in scope, else,
-        in edge order, the candidates (edges of R(edge, x) with a clause
-        that `tau` fails) that lie in R(f, y) for no other candidate f,
-        y being the predecessor of x; each comes with the lowest-id clause
-        that `tau` fails to satisfy.
-
-        One union-find sweep finds them. The edges of R(edge, x) are
-        inserted in edge order, each joined to the earlier edges it shares
-        a vertex at or below y with. Every edge of R(f, y) is at most f
-        and lies in R(edge, x), so right after f is inserted its class is
-        exactly R(f, y). A candidate g can only fall in R(f, y) for f
-        above g, hence g is dominated iff a later candidate's insertion
-        finds it in the class. Each class keeps its undominated
-        candidates; inserting a candidate replaces its class's list with
-        itself. The candidates left at the end are the pieces. The largest
-        candidate of each final class is not enough: a class can hold two
-        candidates joined only through a larger non-candidate edge.
+        (a) For f < f', R(f, y) and R(f', y) are disjoint or nested: if they
+        share an edge, R(f, y) is joined through edges below f' and so lies in
+        R(f', y); they are the subtrees of the forest at y. (b) With x in e, a
+        walk in R(e, x) splits at x into walks below y, and x joins the edges
+        through it, so R(e, x) is the union over the g through x with g <= e of
+        g's class among the edges at most e joined below y: the subtree of g's
+        top, its highest ancestor at most e. Distinct tops are incomparable.
+        In a subtree, g lies in R(f, y) iff f is an ancestor of g, so a walk down
+        from the tops that stops at candidates and passes through edges whose
+        clauses `tau` all satisfies finds the pieces. Ancestor walks stop where
+        an earlier one passed.
         """
         e = frozenset(edge)
+        top = self.edge_index.get(e)
+        if top is None:
+            raise ValueError(f"edge {sorted(e)} not in the hypergraph")
+        if x not in e:
+            raise ValueError(f"variable {x} does not occur in the clause")
         rank = self.order.rank
         if rank[x] == 0:
             raise ValueError(f"variable {x} is first in the order and has no predecessor")
@@ -177,41 +185,30 @@ class Compiler:
             raise ValueError(
                 f"restriction must bind exactly {sorted(expected)}, got {sorted(tau.domain())}"
             )
-        reach = self._reach_memo.get((e, x))
-        if reach is None:
-            reach = self._reach_memo[(e, x)] = self.reachable_edges(e, x)
-        bar = rank[x]
-        edges, clauses = self.edges, self.clauses
-        lowest_unsat: dict[int, int] = {}
-        parent: dict[int, int] = {}
-        live: dict[int, list[int]] = {}  # class root -> its undominated candidates
-        owner: dict[int, int] = {}  # vertex below x -> first edge through it
-        for i in reach:
-            g = edges[i]
-            cids = self.clauses_by_edge[g]
-            if expected.isdisjoint(g):
-                lowest_unsat[i] = cids[0]
+        self._forest_at(rank[x] - 1)
+        parent, children = self._parent, self._children
+        stack, walked = [], set()  # the tops, then the walk down from them
+        for g in self.edges_with[x]:
+            if g > top:
+                break
+            while g not in walked:
+                walked.add(g)
+                if parent[g] > top:
+                    stack.append(g)
+                    break
+                g = parent[g]
+        edges, clauses, clauses_by_edge = self.edges, self.clauses, self.clauses_by_edge
+        pieces: list[tuple[int, int]] = []
+        while stack:
+            g = stack.pop()
+            unsat = (c for c in clauses_by_edge[edges[g]] if not clauses[c].satisfied_by(tau))
+            cid = next(unsat, None)
+            if cid is None:
+                stack.extend(children[g])
             else:
-                for cid in cids:
-                    if not clauses[cid].satisfied_by(tau):
-                        lowest_unsat[i] = cid
-                        break
-            parent[i] = i
-            merged: list[int] = []
-            for v in g:
-                if rank[v] < bar:
-                    root = owner.setdefault(v, i)
-                    while parent[root] != root:
-                        parent[root] = parent[parent[root]]
-                        root = parent[root]
-                    if root != i:
-                        parent[root] = i
-                        merged += live.pop(root)
-            live[i] = [i] if i in lowest_unsat else merged
-        if not lowest_unsat:
-            return TAUTOLOGY
-        pieces = sorted(j for js in live.values() for j in js)
-        return [(edges[j], lowest_unsat[j]) for j in pieces]
+                pieces.append((g, cid))
+        pieces.sort()
+        return [(edges[g], cid) for g, cid in pieces] if pieces else TAUTOLOGY
 
     def lookup(self, edge: frozenset[int], clause_id: int, cutoff: int) -> int:
         """Gate for the sub-formula at (edge, cutoff) under the clause's
@@ -226,40 +223,38 @@ class Compiler:
         if not ranks_at_or_below:
             return self.builder.false()
         stage_var = self.order.sequence[max(ranks_at_or_below)]
-        clause = self.clauses[clause_id]
-        key = self._cache_key(edge, self.restriction_above(clause, stage_var), stage_var)
+        tau = self.restriction_above(self.clauses[clause_id], stage_var)
+        key = SubFormulaKey(self.edge_index[edge], tau.as_key(), stage_var)
         gate = self.cache.get(key)
         if gate is None:
             raise AssertionError(f"uncomputed sub-circuit requested: {key}")
         return gate
 
     def _base_gate(self, clause_id: int) -> int:
-        """First stage: the residual mentions only the first variable."""
+        """First stage: the restriction satisfies each reachable clause or
+        leaves its literal on the first variable, which they all hold."""
         first = self.order.sequence[0]
         clause = self.clauses[clause_id]
-        residual = self.sub_formula(clause.variables, first).restrict(
-            self.restriction_above(clause, first)
-        )
-        if residual.has_empty_clause():
-            return self.builder.false()
-        if not residual.clauses:
-            return self.builder.true()
+        tau = self.restriction_above(clause, first)
         literals = set()
-        for c in residual.clauses:
-            if len(c) != 1 or c.variables != {first}:
-                raise AssertionError("first-stage residual is not a unit over the first variable")
-            literals |= c.literals
+        for i in self.reachable_edges(clause.variables, first):
+            for cid in self.clauses_by_edge[self.edges[i]]:
+                if not self.clauses[cid].satisfied_by(tau):
+                    rest = [l for l in self.clauses[cid].literals if abs(l) not in tau]
+                    if len(rest) != 1 or abs(rest[0]) != first:
+                        raise AssertionError("first-stage residual is not a unit over the first variable")
+                    literals.add(rest[0])
+        if not literals:
+            return self.builder.true()
         if len(literals) == 2:
             return self.builder.false()
-        return self.builder.literal(next(iter(literals)))
+        return self.builder.literal(literals.pop())
 
     def decision_step(self, clause_id: int, x: int) -> int:
         """Emit the decision gate on x for the given clause; both branches
         are conjunctions of gates cached at the predecessor stage."""
         clause = self.clauses[clause_id]
         e = clause.variables
-        if x not in e:
-            raise ValueError(f"variable {x} does not occur in the clause")
         tau_above = self.restriction_above(clause, x)
         y = self.order.predecessor(x)
         branches = {}
@@ -283,24 +278,26 @@ class Compiler:
                 e = self.edges[j]
                 for cid in self.clauses_by_edge[e]:
                     tau = self.restriction_above(self.clauses[cid], x)
-                    key = self._cache_key(e, tau, x)
+                    key = SubFormulaKey(j, tau.as_key(), x)
                     if key in self.cache:
                         continue
                     gate = self._base_gate(cid) if i == 0 else self.decision_step(cid, x)
                     self.cache[key] = gate
             if len(self.builder) > 7 * cumulative:
                 raise AssertionError("gate ledger exceeded: more than 7 gates per incidence")
-        roots = []
-        components = connected_components(self.hypergraph)
+        # the last forest's roots are the components' largest edges, taken by
+        # least edge; parents are above children, so one pass carries it up
         last = self.order.sequence[-1] if self.order.sequence else None
-        for component in sorted(components, key=lambda h: min(self.edge_index[e] for e in h)):
-            top_edge = self.edge_order.max(component.edges)
-            clause_id = min(self.clauses_by_edge[top_edge])
-            roots.append(self.lookup(top_edge, clause_id, last))
-        output = self.builder.and_(roots)
+        self._forest_at(len(self.order) - 1)
+        m = len(self.edges)
+        least = list(range(m + 1))
+        for g, up in enumerate(self._parent):
+            least[up] = min(least[up], least[g])
+        tops = [self.edges[g] for g in sorted(range(m), key=least.__getitem__) if self._parent[g] == m]
+        output = self.builder.and_(self.lookup(t, min(self.clauses_by_edge[t]), last) for t in tops)
         self.full_circuit = self.builder.build(output)
         circuit = prune_unreachable(self.full_circuit)
-        bound = 7 * self.formula.size + max(1, len(components)) + 3
+        bound = 7 * self.formula.size + max(1, len(tops)) + 3
         if circuit.size > bound:
             raise AssertionError(f"{circuit.size} gates exceed the size bound {bound}")
         report = CompileReport(
@@ -312,7 +309,7 @@ class Compiler:
             clause_counts=self.clause_counts,
             elimination_order=self.order.sequence,
             wall_time_seconds=time.perf_counter() - start,
-            components=len(components),
+            components=len(tops),
             formula_size=self.formula.size,
         )
         return circuit, report

@@ -155,6 +155,19 @@ class TestCompileVerify:
                        "--order", str(order_path))
         assert code == 0
 
+    def test_order_file_may_list_an_unused_variable(self, capsys, tmp_path):
+        cnf_path = tmp_path / "unused.cnf"
+        cnf_path.write_text("p cnf 3 1\n1 2 0\n")
+        order_path = tmp_path / "order.txt"
+        order_path.write_text("1\n2\n3\n")
+        out_path = tmp_path / "c.nnf"
+        code, *_ = run(capsys, "compile", str(cnf_path), "-o", str(out_path),
+                       "--order", str(order_path))
+        assert code == 0
+        assert out_path.read_text() == "nnf 3 2 2\nL 1\nT\nD 2 1 0\n"
+        code, out, _ = run(capsys, "count", str(cnf_path), "--order", str(order_path))
+        assert (code, out) == (0, "6\n")
+
     @pytest.mark.parametrize("text, message", [
         ("1\n2\n\nx\n4\n5\n", "line 4: non-integer vertex id 'x'"),
         ("5\n4\n3\n2\n1\n", "conflict at vertex 5"),
@@ -168,6 +181,16 @@ class TestCompileVerify:
             code, out, err = run(capsys, *argv, "--order", str(order_path))
             assert (code, out) == (2, "")
             assert message in err
+
+
+    @pytest.mark.parametrize("method", ["dpll", "brute"])
+    def test_order_file_needs_the_compile_method(self, capsys, tmp_path, method):
+        order_path = tmp_path / "order.txt"
+        order_path.write_text("x\n")
+        code, out, err = run(capsys, "count", fstar_path(), "--method", method,
+                             "--order", str(order_path))
+        assert (code, out) == (2, "")
+        assert "--method compile" in err and f"--method {method}" in err
 
 
 class TestDpllCommand:

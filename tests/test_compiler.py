@@ -1,4 +1,5 @@
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -6,14 +7,17 @@ from betadnnf import (
     Assignment,
     Clause,
     CnfFormula,
+    brute_force_count,
     check_decision,
     check_decomposable,
     count_models,
     equivalent_to_formula,
     hypergraph_of,
+    write_nnf,
 )
 from betadnnf.circuit import AndGate, DecisionGate, LiteralGate
 from betadnnf.compiler import TAUTOLOGY, Compiler, compile_cnf, compile_stats_sweep
+from betadnnf.dpll import OrderStrategy, count_dpll
 from betadnnf.errors import NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 from betadnnf.hypergraph import EliminationOrder, beta_elimination_order, sub_hypergraph
@@ -26,6 +30,40 @@ ORDER = EliminationOrder((1, 2, 3, 4, 5))
 
 def clause_sets(formula):
     return {c.sorted_literals() for c in formula.clauses}
+
+
+def sub_formula(compiler, edge, cutoff):
+    """Clauses whose variable set is an edge of `hypergraph.sub_hypergraph`
+    around `edge`: the formula a cache entry restricts."""
+    reach = sub_hypergraph(compiler.hypergraph, compiler.order, edge, cutoff).edges
+    return CnfFormula(c for c in compiler.clauses if c.variables in reach)
+
+
+def random_interval_cnf(rng, n, clauses, widths=(1, 2, 2, 3, 3, 4), planted=False):
+    """Clauses over runs of consecutive positions of a shuffled line of
+    the variables 1..n, with random signs and run lengths drawn from
+    `widths`. Interval hypergraphs are beta-acyclic: the first position is
+    a nest point. With `planted`, each clause is made true under one hidden
+    assignment, so the formula has models."""
+    line = rng.sample(range(1, n + 1), n)
+    hidden = {v: rng.random() < 0.5 for v in line}
+    out = []
+    for _ in range(clauses):
+        start, width = rng.randrange(n), rng.choice(widths)
+        clause = [v if rng.random() < 0.5 else -v for v in line[start:start + width]]
+        if planted and not any((l > 0) == hidden[abs(l)] for l in clause):
+            clause[0] = -clause[0]
+        out.append(clause)
+    return CnfFormula.from_ints(out)
+
+
+def forest_inputs():
+    """Small random beta-acyclic formulas and random interval formulas."""
+    rng = random.Random(1994)
+    for _ in range(40):
+        yield random_beta_acyclic_cnf(rng, max_vars=10, max_clauses=16, max_edges=14)
+    for _ in range(40):
+        yield random_interval_cnf(rng, rng.randint(3, 12), rng.randint(2, 16))
 
 
 def compute_U(formula, order, edge, x, tau):
@@ -61,21 +99,93 @@ def pairwise_compute_U(compiler, edge, x, tau):
 
 class TestSubFormula:
     def test_everything_reachable(self, fstar):
-        assert Compiler(fstar, ORDER).sub_formula(E5, 4) == fstar
+        assert sub_formula(Compiler(fstar, ORDER), E5, 4) == fstar
 
     def test_cutoff_drops_clauses(self, fstar):
-        got = Compiler(fstar, ORDER).sub_formula(E5, 3)
+        got = sub_formula(Compiler(fstar, ORDER), E5, 3)
         assert clause_sets(got) == {(1, 2), (2, 5), (2, 4, 5)}
 
     def test_isolated_edge(self, fstar):
-        got = Compiler(fstar, ORDER).sub_formula(E2, 3)
+        got = sub_formula(Compiler(fstar, ORDER), E2, 3)
         assert clause_sets(got) == {(3, 4)}
 
     def test_unknown_edge_rejected(self, fstar):
         with pytest.raises(ValueError):
-            Compiler(fstar, ORDER).sub_formula(frozenset({1, 5}), 3)
+            sub_formula(Compiler(fstar, ORDER), frozenset({1, 5}), 3)
         with pytest.raises(ValueError):
-            Compiler(fstar, ORDER).sub_formula(E1, 9)
+            sub_formula(Compiler(fstar, ORDER), E1, 9)
+
+
+class TestReachabilityForest:
+    def test_reachable_sets_are_laminar(self):
+        """(a) For a fixed cutoff y and f < f', R(f, y) and R(f', y) are
+        disjoint or the first lies in the second."""
+        for formula in forest_inputs():
+            compiler = Compiler(formula)
+            graph, order, edges = compiler.hypergraph, compiler.order, compiler.edges
+            for y in order.sequence:
+                reach = [sub_hypergraph(graph, order, f, y).edges for f in edges]
+                for i, small in enumerate(reach):
+                    for big in reach[i + 1:]:
+                        assert small.isdisjoint(big) or small <= big, (formula, y)
+
+    def test_reachable_set_assembles_from_stage_classes(self):
+        """(b) For x in e with predecessor y, R(e, x) is the union over
+        the edges g through x with g <= e of g's class among the edges at
+        most e joined through vertices at most y; each class is R(t, y)
+        for its largest edge t."""
+        for formula in forest_inputs():
+            compiler = Compiler(formula)
+            graph, order, edges = compiler.hypergraph, compiler.order, compiler.edges
+            rank = order.rank
+            for top, e in enumerate(edges):
+                for x in e:
+                    y = order.predecessor(x)
+                    if y is None:
+                        continue
+                    union = set()
+                    for g in edges[:top + 1]:
+                        if x not in g:
+                            continue
+                        joined = {g}
+                        frontier = [g]
+                        while frontier:
+                            h = frontier.pop()
+                            for f in edges[:top + 1]:
+                                if f not in joined and any(rank[v] <= rank[y] for v in f & h):
+                                    joined.add(f)
+                                    frontier.append(f)
+                        largest = max(joined, key=edges.index)
+                        assert joined == sub_hypergraph(graph, order, largest, y).edges
+                        union |= joined
+                    assert union == sub_hypergraph(graph, order, e, x).edges, (formula, e, x)
+
+    def test_reachable_edges_match_the_reference_in_any_query_order(self):
+        """Shuffled queries move the cutoff back as well as forward, so the
+        forest is rebuilt from empty as well as advanced."""
+        rng = random.Random(7)
+        for formula in forest_inputs():
+            compiler = Compiler(formula)
+            graph, order = compiler.hypergraph, compiler.order
+            pairs = [(f, c) for f in compiler.edges for c in order.sequence]
+            rng.shuffle(pairs)
+            for f, c in pairs:
+                got = {compiler.edges[i] for i in compiler.reachable_edges(f, c)}
+                assert got == sub_hypergraph(graph, order, f, c).edges, (formula, f, c)
+
+    def test_reachable_edges_after_run(self, fstar):
+        compiler = Compiler(fstar, ORDER)
+        compiler.run()
+        got = compiler.reachable_edges(E5, 3)
+        assert {compiler.edges[i] for i in got} == {E1, E3, E5}
+        assert got == sorted(got)
+
+    def test_unknown_edge_or_vertex_rejected(self, fstar):
+        compiler = Compiler(fstar, ORDER)
+        with pytest.raises(ValueError, match="edge"):
+            compiler.reachable_edges(frozenset({1, 5}), 3)
+        with pytest.raises(ValueError, match="vertex 9"):
+            compiler.reachable_edges(E1, 9)
 
 
 class TestComputeU:
@@ -97,6 +207,12 @@ class TestComputeU:
         with pytest.raises(ValueError, match="predecessor"):
             compute_U(fstar, ORDER, E1, 1, Assignment({1: 0, 2: 0}))
 
+    def test_unknown_edge_or_absent_variable_rejected(self, fstar):
+        with pytest.raises(ValueError, match="edge"):
+            compute_U(fstar, ORDER, frozenset({1, 5}), 5, Assignment({5: 0}))
+        with pytest.raises(ValueError, match="variable 3 does not occur"):
+            compute_U(fstar, ORDER, E5, 3, Assignment({3: 0, 4: 0, 5: 0}))
+
     def test_domain_mismatch_rejected(self, fstar):
         with pytest.raises(ValueError, match="bind exactly"):
             compute_U(fstar, ORDER, E5, 5, Assignment({4: 0, 5: 0}))
@@ -115,8 +231,10 @@ class TestComputeU:
 
     def test_matches_the_pairwise_definition(self):
         rng = random.Random(2017)
-        for _ in range(150):
-            formula = random_beta_acyclic_cnf(rng, max_vars=9, max_clauses=14)
+        formulas = [random_beta_acyclic_cnf(rng, max_vars=9, max_clauses=14) for _ in range(150)]
+        formulas += [random_interval_cnf(rng, rng.randint(3, 12), rng.randint(2, 16))
+                     for _ in range(60)]
+        for formula in formulas:
             compiler = Compiler(formula)
             rank = compiler.order.rank
             for clause in compiler.clauses:
@@ -175,6 +293,15 @@ class TestCompile:
         assert isinstance(circuit.gates[circuit.output], AndGate)
         assert count_models(circuit, {1, 2, 3, 4}) == 9
 
+    def test_components_join_in_order_of_their_least_edges(self):
+        """{3,4} is the largest edge of its component but {1,2} of the other
+        is below it: the output conjunction lists the {1,2,5} component first."""
+        circuit, _ = compile_cnf(CnfFormula.from_ints([[1, 2], [1, 5], [3, 4]]))
+        assert write_nnf(circuit) == (
+            "nnf 10 14 5\nL 2\nT\nD 1 1 0\nF\nA 2 0 3\nD 1 1 4\nD 3 1 3\nD 4 1 6\n"
+            "D 5 2 5\nA 2 8 7\n"
+        )
+
     def test_not_beta_acyclic(self):
         triangle = CnfFormula.from_ints([[1, 2], [2, 3], [1, 3]])
         with pytest.raises(NotBetaAcyclicError) as err:
@@ -193,6 +320,24 @@ class TestCompile:
         circuit, report = compile_cnf(fstar, ORDER)
         assert report.elimination_order == (1, 2, 3, 4, 5)
         assert equivalent_to_formula(circuit, fstar)
+
+    @pytest.mark.parametrize("clauses, order, expected", [
+        ([[1, 2]], (1, 2, 3), "nnf 3 2 2\nL 1\nT\nD 2 1 0\n"),
+        ([[1, 2]], (1, 3, 2), "nnf 3 2 2\nL 1\nT\nD 2 1 0\n"),
+        ([[1, 2]], (3, 1, 2), "nnf 4 4 2\nT\nF\nD 1 0 1\nD 2 0 2\n"),
+        ([[1, 2], [3, 4]], (1, 2, 3, 4, 5), "nnf 7 8 4\nL 1\nT\nD 2 1 0\nF\nD 3 1 3\nD 4 1 4\nA 2 2 5\n"),
+        ([[3, 4], [1, 2]], (5, 3, 4, 1, 2), "nnf 7 10 4\nT\nF\nD 3 0 1\nD 4 0 2\nD 1 0 1\nD 2 0 4\nA 2 3 5\n"),
+        ([[1, -2], [2, 3], [-1, 4], [5, 6]], (4, 3, 2, 1, 7, 6, 5, 8),
+         "nnf 11 16 6\nL 4\nT\nF\nD 3 1 2\nD 2 1 3\nD 2 2 3\nA 2 4 0\nD 1 6 5\nD 6 1 2\nD 5 1 8\nA 2 7 9\n"),
+    ])
+    def test_order_with_vertices_in_no_clause(self, clauses, order, expected):
+        """An order may list vertices no clause mentions, such as a declared
+        but unused DIMACS variable, anywhere, last included. The expected
+        texts are the output of the per-query reachability search that the
+        forest replaced."""
+        formula = CnfFormula.from_ints(clauses)
+        circuit, _ = compile_cnf(formula, EliminationOrder(order))
+        assert write_nnf(circuit) == expected
 
     def test_invalid_order_rejected(self, fstar):
         with pytest.raises(ValueError, match="elimination order"):
@@ -228,7 +373,7 @@ class TestRandomisedEquivalence:
             edges = comp.edge_order.sort(comp.hypergraph.edges)
             for key, gate in comp.cache.items():
                 edge = edges[key.edge_index]
-                residual = comp.sub_formula(edge, key.cutoff).restrict(
+                residual = sub_formula(comp, edge, key.cutoff).restrict(
                     Assignment(dict(key.restriction))
                 )
                 rooted = comp.full_circuit.root_at(gate)
@@ -251,6 +396,89 @@ class TestRandomisedEquivalence:
                         sub_hypergraph(graph, order, e, x).edges
                         == sub_hypergraph(graph, order, e, y).edges
                     )
+
+
+def transfer_count(n, clauses, width, private=False):
+    """Models over 1..n of clauses that each lie within `width`
+    consecutive variables, by a transfer matrix over the values of the last
+    width - 1 variables. With `private`, each clause also holds a variable
+    of its own, free when the rest of the clause is satisfied and forced
+    otherwise, so a clause weighs 2 or 1 instead of 1 or 0."""
+    weight = {True: 2, False: 1} if private else {True: 1, False: 0}
+    ending = defaultdict(list)
+    for clause in clauses:
+        ending[max(abs(l) for l in clause)].append(clause)
+    states = Counter({(): 1})
+    for v in range(1, n + 1):
+        grown = Counter()
+        for window, ways in states.items():
+            for bit in (0, 1):
+                values = window + (bit,)  # variable u is values[u - v - 1]
+                total = ways
+                for clause in ending[v]:
+                    total *= weight[any(values[abs(l) - v - 1] == (l > 0) for l in clause)]
+                grown[values[1 - width:]] += total
+        states = grown
+    return sum(states.values())
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+class TestPastTheEnumerationCap:
+    """Counts of compiled circuits far beyond any truth table, checked
+    against references written from the definitions."""
+
+    N = 1000
+
+    def test_chain(self):
+        circuit, _ = compile_cnf(chain_cnf(self.N))
+        # no two adjacent zeros among N bits
+        assert count_models(circuit, range(1, self.N + 1)) == fibonacci(self.N + 2)
+
+    def test_interval3(self):
+        n = self.N
+        clauses = [[i, i + 1, i + 2] for i in range(1, n - 1)] + [[i, i + 1] for i in range(1, n)]
+        circuit, _ = compile_cnf(CnfFormula.from_ints(clauses))
+        assert count_models(circuit, range(1, n + 1)) == transfer_count(n, clauses, 3)
+
+    def test_hat_chain(self):
+        n = self.N
+        base = [[i, i + 1] for i in range(1, n)]
+        formula = CnfFormula.from_ints(c + [n + i] for i, c in enumerate(base, start=1))
+        circuit, _ = compile_cnf(formula)
+        expected = transfer_count(n, base, 2, private=True)
+        assert count_models(circuit, range(1, 2 * n)) == expected
+
+    def test_transfer_matrix_matches_enumeration(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randint(1, 9)
+            clauses = []
+            for _ in range(rng.randint(0, 8)):
+                start = rng.randint(1, n)
+                clauses.append([v if rng.random() < 0.5 else -v
+                                for v in range(start, min(n, start + 2) + 1)])
+            for private in (False, True):
+                extra = len(clauses) if private else 0
+                widened = [c + [n + 1 + k] for k, c in enumerate(clauses)] if private else clauses
+                formula = CnfFormula.from_ints(widened)
+                expected = brute_force_count(formula, range(1, n + extra + 1))
+                assert transfer_count(n, clauses, 3, private) == expected
+
+    def test_random_interval_formulas_match_dpll(self):
+        rng = random.Random(150)
+        for _ in range(6):
+            n = rng.randint(150, 300)
+            formula = random_interval_cnf(rng, n, rng.randint(n, 2 * n), planted=True)
+            circuit, _ = compile_cnf(formula)
+            expected, _ = count_dpll(formula, OrderStrategy.reverse_beta_elimination())
+            assert expected > 0
+            assert count_models(circuit, formula.variables) == expected
 
 
 class TestStatsSweep:
