@@ -1,16 +1,42 @@
 """Exhaustive DPLL model counting with component splitting and caching.
 
 The plain scheme only: split into variable-disjoint parts when possible,
-otherwise branch on the next variable of the chosen order. No unit
-propagation, no pure-literal elimination. One pass yields the count, the
-statistics and, optionally, the trace, a decision-DNNF of the input. The
-search keeps its own stack, so memory, not the recursion limit, bounds
-its depth. A residual is a sorted tuple of distinct clauses, each a tuple
-of literals sorted by variable, so it is its own exact cache key.
+otherwise branch on the variable of least rank in the chosen order. No
+unit propagation, no pure-literal elimination. One pass yields the count,
+the statistics and, optionally, the trace, a decision-DNNF of the input.
+The search keeps its own stack, so memory, not the recursion limit,
+bounds its depth.
+
+Clause states. Write each input clause in rank order. Every clause the
+search meets is a rank-order suffix of an input clause: the branch
+variable x has the least rank in its connected residual, so x heads every
+clause that holds it, and setting x either drops such a clause or cuts
+off its head, while a split only regroups clauses. All suffixes are interned once as (head literal, next
+state) ids, so equal literal sets get equal ids; ids are numbered by the
+rank of their head, positive heads first. A residual is the sorted tuple
+of its distinct state ids (0 is the empty clause), an exact cache key in
+which the clauses headed by x form a prefix. A branch rewrites only that
+prefix: a satisfied state goes, an advanced one moves to its next id.
+
+Alongside the keys, each input clause keeps its position in rank order,
+or a mark once satisfied, and each variable counts the live input clauses
+that hold it. A branch's changes to both are undone when it returns; the
+counters give the child's variable count.
+
+Seed lemma. Every component of a branch's child holds an advanced clause
+or a variable of a satisfied one: a path in the connected parent from the
+component to x first meets a clause holding x; if that clause advanced,
+it is in the component, else the variable the path entered it by is one
+of its variables. So components are searched from those seeds only, one
+search per seed, interleaved; searches that meet merge, and the split
+stops once one search is left or all but one have run out.
 """
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from operator import neg
 
 from .circuit import CircuitBuilder, NnfCircuit
 from .cnf import CnfFormula
@@ -67,61 +93,214 @@ class DpllStats:
         return asdict(self)
 
 
-Residual = tuple[tuple[int, ...], ...]
+_FALSIFIED = (0,)  # a residual holding the empty clause
+_GONE = 1 << 62  # position of a satisfied input clause
 
 
-def _restrict(residual: Residual, lit: int) -> Residual:
-    """The residual once `lit` is true: satisfied clauses go, and the
-    others lose the opposite literal; a clause left with none stays as ()."""
-    out = []
-    for clause in residual:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            i = clause.index(-lit)
-            clause = clause[:i] + clause[i + 1:]
-        out.append(clause)
-    # a shortened clause may be out of place or repeated; the list is
-    # nearly sorted, so the re-sort is cheap
-    return tuple(sorted(dict.fromkeys(out)))
+class _Residuals:
+    """The interned clause states of a formula and the undoable position of
+    each input clause; see the module docstring. The id of a state headed
+    by literal h is rank(|h|) * 2M, plus M if h < 0, plus a serial below M,
+    so a variable's states form one block of ids, positive heads first."""
+
+    def __init__(self, clauses, order: tuple[int, ...]):
+        # block[l] is 2 rank(|l|), plus 1 if l < 0; the first occurrence of
+        # a variable in the order fixes its rank
+        n = len(order)
+        self.block = block = dict(zip(reversed(order), range(2 * n - 2, -1, -2)))
+        block.update(zip(map(neg, reversed(order)), range(2 * n - 1, 0, -2)))
+        self.order = order
+        self.lits = [sorted(c.literals, key=block.__getitem__) for c in clauses]
+        self.vars = [tuple(map(abs, lits)) for lits in self.lits]
+        self.M = M = 1 + sum(map(len, self.lits))
+        table: dict[int, int] = {}  # next id * 2n + block of the head -> id
+        self.next, self.size, self.first = nxt, size, first = {0: 0}, {0: 0}, {0: 0}
+        self.occ = occ = {v: [] for v in order}  # variable -> [(clause, index)]
+        whole, ids, K = set(), 0, 2 * n
+        for c, lits in enumerate(self.lits):
+            vs, s = self.vars[c], 0
+            f, least = lits[-1], vs[-1]  # first: the literal of least variable
+            for i in range(len(lits) - 1, -1, -1):
+                v = vs[i]
+                occ[v].append((c, i))
+                if v < least:
+                    f, least = lits[i], v
+                b = block[lits[i]]
+                k = s * K + b
+                t = table.get(k)
+                if t is None:
+                    ids += 1
+                    t = table[k] = b * M + ids
+                    nxt[t] = s
+                    size[t] = len(lits) - i
+                    first[t] = f
+                s = t
+            whole.add(s)
+        self.count = dict(zip(occ, map(len, occ.values())))  # live clauses holding v
+        self.nvars = sum(map(bool, occ.values()))
+        self.pos = [0] * len(self.lits)
+        self.root = tuple(sorted(whole))
+
+    def advance(self, rest: tuple[int, ...], moved: tuple[int, ...]) -> tuple[int, ...]:
+        """The key of `rest` plus the next states of `moved`, whose heads
+        rank below every state of `rest`."""
+        if not moved:
+            return rest
+        nxt, merged = self.next, list(rest)
+        for s in moved:
+            t = nxt[s]
+            if not t:
+                return _FALSIFIED
+            i = bisect_left(merged, t)
+            if i == len(merged) or merged[i] != t:  # a state already there is not repeated
+                merged.insert(i, t)
+        return tuple(merged)
+
+    def assign(self, key: tuple[int, ...], lit: int, nvars: int):
+        """Make `lit` true on the input clauses. The current residual, with
+        key `key`, is the child on `lit` of a connected residual of `nvars`
+        variables whose least variable is |lit|. Returns the undo record,
+        the child's variable count and its parts (see `parts`)."""
+        pos, lits, vs, count = self.pos, self.lits, self.vars, self.count
+        satisfied, advanced = [], []
+        for c, i in self.occ[abs(lit)]:
+            if pos[c] == i:  # live clauses holding |lit| are headed by it
+                if lits[c][i] == lit:
+                    pos[c] = _GONE
+                    satisfied.append((c, i))
+                else:
+                    pos[c] = i + 1
+                    advanced.append(c)
+        nvars -= 1
+        for c, i in satisfied:
+            for u in vs[c][i + 1:]:
+                count[u] -= 1
+                if not count[u]:
+                    nvars -= 1
+        seeds = []  # advanced clauses, and the variables left of satisfied ones
+        for c in advanced:
+            seeds.append(vs[c][pos[c]:])
+        for c, i in satisfied:
+            for u in vs[c][i + 1:]:
+                if count[u]:
+                    seeds.append((u,))
+        parts = self.parts(key, nvars, seeds) if len(seeds) > 1 else None
+        return (satisfied, advanced), nvars, parts
+
+    def undo(self, record) -> None:
+        pos, vs, count = self.pos, self.vars, self.count
+        satisfied, advanced = record
+        for c in advanced:
+            pos[c] -= 1
+        for c, i in satisfied:
+            pos[c] = i
+            for u in vs[c][i + 1:]:
+                count[u] += 1
+
+    def parts(self, key: tuple[int, ...], nvars: int, seeds, whole: bool = False):
+        """The variable-disjoint parts of the current residual, with key
+        `key` and `nvars` variables, as [(order, part key, variable count)]
+        sorted by first clause; None when it is connected. `seeds` are
+        sequences of variables, each within one part, and every part holds
+        one of them; with `whole` they are all its clauses."""
+        owner: dict[int, int] = {}  # variable -> the search that took it
+        link, owned = [], []  # per search: the one it joined, its variables
+        roots = 0
+        for group in seeds:  # seeds that share a variable form one search
+            k = len(link)
+            link.append(k)
+            owned.append([])
+            roots += 1
+            for u in group:
+                j = owner.get(u)
+                if j is None:
+                    owner[u] = k
+                    owned[k].append(u)
+                    continue
+                while link[j] != j:
+                    j = link[j]
+                if j != k:  # the smaller joins the larger
+                    if len(owned[j]) < len(owned[k]):
+                        j, k = k, j
+                    link[k] = j
+                    owned[j] += owned[k]
+                    k = j
+                    roots -= 1
+        if roots == 1:
+            return None
+        live = [k for k in range(len(link)) if link[k] == k]
+        if whole:  # every clause seeded, so each search holds a whole part
+            done, rest = live, False
+        else:
+            # one step of each running search per round: a search that runs
+            # out has found a whole part, and the last one running the rest
+            pos, occ, vs, seen = self.pos, self.occ, self.vars, set()
+            todo = {k: owned[k][:] for k in live}  # variables still to expand
+            while len(live) > 1:
+                running, met = [], roots
+                for k in live:
+                    if link[k] != k:
+                        continue
+                    t = todo[k]
+                    for c, i in occ[t.pop()]:
+                        if pos[c] > i or c in seen:
+                            continue
+                        seen.add(c)
+                        for u in vs[c][pos[c]:]:
+                            j = owner.get(u)
+                            if j is None:
+                                owner[u] = k
+                                owned[k].append(u)
+                                t.append(u)
+                                continue
+                            while link[j] != j:
+                                j = link[j]
+                            if j != k:  # as above, and the searches' to-do lists join
+                                if len(owned[j]) < len(owned[k]):
+                                    j, k = k, j
+                                link[k] = j
+                                owned[j] += owned[k]
+                                todo[j] += todo[k]
+                                k, t = j, todo[j]
+                                roots -= 1
+                                if roots == 1:
+                                    return None
+                    if t:
+                        running.append(k)
+                if met != roots:  # a search that met another may have run out since
+                    running = [k for k in dict.fromkeys(running) if link[k] == k and todo[k]]
+                live = running
+            done = [k for k in todo if link[k] == k and not todo[k]]
+            rest = len(done) < roots
+        # a finished part's states are the runs of the key headed by its
+        # variables; the rest lies between the runs
+        M, block, first, out, runs = self.M, self.block, self.first, [], []
+        for k in done:
+            part = []
+            for u in owned[k]:
+                b = block[u] * M
+                lo = bisect_left(key, b)
+                hi = bisect_left(key, b + 2 * M, lo)
+                if lo < hi:
+                    part += key[lo:hi]
+                    runs.append((lo, hi))
+            part.sort()
+            out.append((min(map(first.__getitem__, part)), tuple(part), len(owned[k])))
+            nvars -= len(owned[k])
+        if rest:
+            runs.sort()
+            part, at = [], 0
+            for lo, hi in runs:
+                part += key[at:lo]
+                at = hi
+            part += key[at:]
+            out.append((min(map(first.__getitem__, part)), tuple(part), nvars))
+        out.sort()  # parts share no variable, so their orders differ
+        return out
 
 
-def _split(residual: Residual, rank: dict[int, int]) -> tuple[int, int, list[Residual]]:
-    """(variable count, variable of least rank, variable-disjoint parts in
-    order of first clause); a one-clause residual is never split."""
-    if len(residual) == 1:
-        variables = list(map(abs, residual[0]))
-        return len(variables), min(variables, key=rank.__getitem__), [residual]
-    owner: dict[int, int] = {}  # variable -> first clause containing it
-    link = list(range(len(residual)))  # union-find; roots are smallest
-    merges = 0
-    for i, clause in enumerate(residual):
-        root = i
-        for lit in clause:
-            j = owner.setdefault(abs(lit), i)
-            if j == i:
-                continue
-            while link[j] != j:
-                j = link[j]
-            if j < root:
-                link[root], root = j, j
-            elif j > root:
-                link[j] = root
-            else:
-                continue
-            merges += 1
-    parts = [residual]
-    if merges < len(residual) - 1:
-        groups: dict[int, list] = {}
-        for i, clause in enumerate(residual):
-            link[i] = link[link[i]]  # link[i] < i already points at a root
-            groups.setdefault(link[i], []).append(clause)
-        parts = [tuple(g) for g in groups.values()]
-    return len(owner), min(owner, key=rank.__getitem__), parts
-
-
-def _root(residual: Residual):  # the stack's bottom: it hands back the root's result
-    return (yield residual)
+def _root(key: tuple[int, ...], nvars: int):  # the stack's bottom: it hands back the root's result
+    return (yield key, None, nvars)
 
 
 def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: int | None = None,
@@ -130,57 +309,83 @@ def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: i
     and with `trace` the search tree as a circuit (decision gates, split
     conjunctions, cache hits shared), else None. Each cache-missed residual
     is a generator on an explicit stack: it yields its children and is sent
-    their (count over the child's variables, gate, variable count)."""
+    their (count over the child's variables, gate, variable count). A child
+    goes as (key, literal, count): the literal set to reach it with the
+    parent's variable count, or 0 with its own count for a part, or None
+    with the formula's count for the root."""
     trivial = formula.has_empty_clause() or not formula.clauses
     priority = () if trivial else (strategy or OrderStrategy.lexicographic()).priority(formula)
-    # a variable's first occurrence fixes its rank
-    rank = {v: i for i, v in reversed(tuple(enumerate(priority)))}
-    stats, cache = DpllStats(), {}
+    cache: dict[tuple[int, ...], tuple] = {}
     builder = CircuitBuilder() if trace else None
+    if trivial:
+        res, root = None, _FALSIFIED if formula.has_empty_clause() else ()
+    else:
+        res = _Residuals(formula.clauses, priority)
+        root, order, M, width = res.root, res.order, res.M, 2 * res.M
+        size, advance, assign, undo = res.size, res.advance, res.assign, res.undo
 
-    def expand(key: Residual):
-        nvars, x, parts = _split(key, rank)
-        if len(parts) > 1:
-            stats.component_splits += 1
+    def expand(key, lit, nvars):
+        nonlocal decisions, splits
+        record = parts = None
+        if len(key) == 1:  # one clause: nothing below it needs the input clauses
+            nvars = size[key[0]]
+        elif lit is None:  # the root: every clause seeds the split
+            parts = res.parts(key, nvars, res.vars, whole=True)
+        elif lit:
+            record, nvars, parts = assign(key, lit, nvars)
+        if parts:
+            splits += 1
             total, gates = 1, []
-            for part in parts:
-                n, gate, _ = yield part
-                total *= n
+            for _, part, n in parts:
+                count, gate, _ = yield part, 0, n
+                total *= count
                 gates.append(gate)
             gate = builder.and_(sorted(gates)) if trace else None  # one per set of parts
         else:
-            stats.decisions += 1
-            n1, hi, v1 = yield _restrict(key, x)
-            n0, lo, v0 = yield _restrict(key, -x)
+            decisions += 1
+            # x heads a prefix of the key, its positive literal first
+            base = key[0] // width * width
+            p = bisect_left(key, base + width)
+            m = bisect_left(key, base + M, 0, p)
+            x, rest = order[base // width], key[p:]
+            n1, hi, v1 = yield advance(rest, key[m:p]), x, nvars
+            n0, lo, v0 = yield advance(rest, key[:m]), -x, nvars
             # variables satisfied away still range freely
             total = (n1 << (nvars - 1 - v1)) + (n0 << (nvars - 1 - v0))
             gate = builder.decision(x, hi, lo) if trace else None
+        if record is not None:
+            undo(record)
         cache[key] = result = (total, gate, nvars)
         return result
 
-    stack = [_root(tuple(sorted(c.sorted_literals() for c in formula.clauses)))]
-    value, steps = None, 0
+    stack = [_root(root, 0 if trivial else res.nvars)]
+    value, steps, hits, misses, decisions, splits = None, 0, 0, 0, 0, 0
+    peak = 1  # the stack only grows by a push, and a pushed residual yields at once
+    limit = sys.maxsize if budget is None else budget
+    true = false = None  # the results of the trivial residuals, made at first use
     while stack:
         try:
-            residual = stack[-1].send(value)
+            key, lit, nvars = stack[-1].send(value)
         except StopIteration as done:
             stack.pop()
             value = done.value
             continue
         steps += 1
-        if budget is not None and steps > budget:
+        if steps > limit:
             raise BudgetExceededError(f"exceeded {budget} steps", budget)
-        stats.peak_residuals = max(stats.peak_residuals, len(stack))
-        if not residual:
-            value = 1, builder.true() if trace else None, 0
-        elif not residual[0]:  # the empty clause sorts first
-            value = 0, builder.false() if trace else None, 0
-        elif (value := cache.get(residual)) is not None:
-            stats.cache_hits += 1
+        if not key:
+            value = true = true or (1, builder.true() if trace else None, 0)
+        elif not key[0]:  # the empty clause has the least id
+            value = false = false or (0, builder.false() if trace else None, 0)
+        elif (value := cache.get(key)) is not None:
+            hits += 1
         else:  # None primes the new generator
-            stats.cache_misses += 1
-            stack.append(expand(residual))
-    stats.cache_entries = len(cache)
+            misses += 1
+            stack.append(expand(key, lit, nvars))
+            if len(stack) > peak:
+                peak = len(stack)
+    stats = DpllStats(decisions=decisions, component_splits=splits, cache_hits=hits,
+                      cache_misses=misses, cache_entries=len(cache), peak_residuals=peak)
     count, gate, _ = value
     return count, stats, builder.build(gate) if trace else None
 

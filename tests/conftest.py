@@ -1,7 +1,11 @@
 """Shared fixtures: the five-clause worked example, the three-variable
-example circuit, and the structural-property checker used by both the
-hypergraph tests and the acceptance suite."""
+example circuit, the structural-property checker used by both the
+hypergraph tests and the acceptance suite, and the model-count references
+(Fibonacci, a transfer matrix) that the compiler and DPLL tests check
+counts against past the enumeration cap."""
 from __future__ import annotations
+
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -140,3 +144,39 @@ def structural_property_failures(hypergraph: Hypergraph, order: EliminationOrder
                         )
 
     return failures
+
+
+def transfer_count(n, clauses, width, private=False):
+    """Models over 1..n of clauses that each lie within `width`
+    consecutive variables, by a transfer matrix over the values of the last
+    width - 1 variables. With `private`, each clause also holds a variable
+    of its own, free when the rest of the clause is satisfied and forced
+    otherwise, so a clause weighs 2 or 1 instead of 1 or 0."""
+    weight = {True: 2, False: 1} if private else {True: 1, False: 0}
+    ending = defaultdict(list)
+    for clause in clauses:
+        ending[max(abs(l) for l in clause)].append(clause)
+    states = Counter({(): 1})
+    for v in range(1, n + 1):
+        grown = Counter()
+        for window, ways in states.items():
+            for bit in (0, 1):
+                values = window + (bit,)  # variable u is values[u - v - 1]
+                total = ways
+                for clause in ending[v]:
+                    total *= weight[any(values[abs(l) - v - 1] == (l > 0) for l in clause)]
+                grown[values[1 - width:]] += total
+        states = grown
+    return sum(states.values())
+
+
+def interval3_clauses(n):
+    """Every run of three and of two consecutive variables among 1..n."""
+    return [[i, i + 1, i + 2] for i in range(1, n - 1)] + [[i, i + 1] for i in range(1, n)]
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a

@@ -1,5 +1,4 @@
 import random
-from collections import Counter, defaultdict
 
 import pytest
 
@@ -22,7 +21,7 @@ from betadnnf.errors import NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 from betadnnf.hypergraph import EliminationOrder, beta_elimination_order, sub_hypergraph
 
-from conftest import FSTAR_EDGES, linear_fit_r2
+from conftest import FSTAR_EDGES, fibonacci, interval3_clauses, linear_fit_r2, transfer_count
 
 E1, E2, E3, E4, E5 = (FSTAR_EDGES[k] for k in ("e1", "e2", "e3", "e4", "e5"))
 ORDER = EliminationOrder((1, 2, 3, 4, 5))
@@ -398,37 +397,6 @@ class TestRandomisedEquivalence:
                     )
 
 
-def transfer_count(n, clauses, width, private=False):
-    """Models over 1..n of clauses that each lie within `width`
-    consecutive variables, by a transfer matrix over the values of the last
-    width - 1 variables. With `private`, each clause also holds a variable
-    of its own, free when the rest of the clause is satisfied and forced
-    otherwise, so a clause weighs 2 or 1 instead of 1 or 0."""
-    weight = {True: 2, False: 1} if private else {True: 1, False: 0}
-    ending = defaultdict(list)
-    for clause in clauses:
-        ending[max(abs(l) for l in clause)].append(clause)
-    states = Counter({(): 1})
-    for v in range(1, n + 1):
-        grown = Counter()
-        for window, ways in states.items():
-            for bit in (0, 1):
-                values = window + (bit,)  # variable u is values[u - v - 1]
-                total = ways
-                for clause in ending[v]:
-                    total *= weight[any(values[abs(l) - v - 1] == (l > 0) for l in clause)]
-                grown[values[1 - width:]] += total
-        states = grown
-    return sum(states.values())
-
-
-def fibonacci(k):
-    a, b = 0, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
-
-
 class TestPastTheEnumerationCap:
     """Counts of compiled circuits far beyond any truth table, checked
     against references written from the definitions."""
@@ -442,7 +410,7 @@ class TestPastTheEnumerationCap:
 
     def test_interval3(self):
         n = self.N
-        clauses = [[i, i + 1, i + 2] for i in range(1, n - 1)] + [[i, i + 1] for i in range(1, n)]
+        clauses = interval3_clauses(n)
         circuit, _ = compile_cnf(CnfFormula.from_ints(clauses))
         assert count_models(circuit, range(1, n + 1)) == transfer_count(n, clauses, 3)
 

@@ -1,7 +1,10 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betadnnf import (
     Clause,
@@ -15,9 +18,12 @@ from betadnnf import (
     write_nnf,
 )
 from betadnnf.circuit import AndGate, DecisionGate, FalseGate
-from betadnnf.dpll import OrderStrategy
+from betadnnf.dpll import OrderStrategy, search
 from betadnnf.errors import BudgetExceededError, NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
+
+import dpll_reference
+from conftest import fibonacci, interval3_clauses, transfer_count
 
 STRATEGIES = [OrderStrategy.reverse_beta_elimination(), OrderStrategy.lexicographic()]
 
@@ -175,3 +181,103 @@ class TestSearch:
                     rng.shuffle(lits)
                 shuffled = CnfFormula.from_ints(lists)
                 assert write_nnf(trace_to_circuit(shuffled, strategy)) == expected
+
+
+def least_budget(run, formula, strategy) -> int:
+    """The least step budget under which `run` does not refuse."""
+    lo, hi = 0, 1  # refuses at lo, not at hi
+    while True:
+        try:
+            run(formula, strategy, budget=hi)
+            break
+        except BudgetExceededError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            run(formula, strategy, budget=mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid
+    return hi
+
+
+def assert_matches_reference(formula, strategy):
+    """Same count, statistics, trace bytes and refusal step as the engine
+    that copied and re-sorted every residual."""
+    count, stats, circuit = search(formula, strategy, trace=True)
+    ref_count, ref_stats, ref_circuit = dpll_reference.search(formula, strategy, trace=True)
+    assert (count, stats.to_dict()) == (ref_count, ref_stats.to_dict())
+    assert write_nnf(circuit) == write_nnf(ref_circuit)
+    steps = least_budget(dpll_reference.search, formula, strategy)
+    search(formula, strategy, budget=steps)
+    with pytest.raises(BudgetExceededError):
+        search(formula, strategy, budget=steps - 1)
+
+
+@st.composite
+def cnfs(draw):
+    """Random clauses over up to 10 variables, mostly not beta-acyclic,
+    now and then with the empty clause."""
+    n = draw(st.integers(1, 10))
+    clause = st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=4, unique_by=abs)
+    clauses = draw(st.lists(clause, max_size=12))
+    if draw(st.integers(0, 9)) == 0:
+        clauses.append([])
+    return CnfFormula.from_ints(clauses)
+
+
+class TestAgainstReference:
+    @given(cnfs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_any_cnf_under_lex_and_a_fixed_order(self, formula, data):
+        assert_matches_reference(formula, OrderStrategy.lexicographic())
+        # a fixed order may repeat a variable or list one no clause holds
+        extra = data.draw(st.lists(st.integers(1, 12), max_size=3))
+        sequence = data.draw(st.permutations(sorted(formula.variables) + extra))
+        assert_matches_reference(formula, OrderStrategy.fixed(sequence))
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_beta_acyclic_cnf_under_reverse_beta(self, rng):
+        formula = random_beta_acyclic_cnf(rng, max_vars=rng.randint(2, 24), max_clauses=30,
+                                          max_edges=20)
+        assert_matches_reference(formula, OrderStrategy.reverse_beta_elimination())
+
+    def test_advanced_clause_equal_to_a_present_one_still_seeds(self):
+        # 1 = false advances [1, 4] to [4], which the residual already holds;
+        # that clause still seeds the split of [-2] from [4]
+        formula = CnfFormula.from_ints([[4], [1, -2], [1, 4]])
+        _, stats = count_dpll(formula, OrderStrategy.lexicographic())
+        assert stats.component_splits == 1
+        assert_matches_reference(formula, OrderStrategy.lexicographic())
+
+
+class TestMemory:
+    def test_wide_clause_trace_is_linear(self):
+        # each residual is one interned suffix, so no clause is ever copied
+        formula = CnfFormula.from_ints([range(1, 4001)])
+        tracemalloc.start()
+        try:
+            _, stats, _ = search(formula, trace=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.peak_residuals == 4001
+        assert peak < 10_000_000
+
+
+class TestPastTheEnumerationCap:
+    """Counts far beyond any truth table, against references written from
+    the definitions."""
+
+    def test_chain(self):
+        n = 1600
+        count, _ = count_dpll(chain_cnf(n), OrderStrategy.reverse_beta_elimination())
+        assert count == fibonacci(n + 2)  # no two adjacent zeros among n bits
+
+    def test_interval3(self):
+        n = 600
+        clauses = interval3_clauses(n)
+        count, _ = count_dpll(CnfFormula.from_ints(clauses), OrderStrategy.reverse_beta_elimination())
+        assert count == transfer_count(n, clauses, 3)
