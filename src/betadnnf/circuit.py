@@ -540,28 +540,35 @@ class Vtree:
 
 def respects_vtree(circuit: NnfCircuit, vtree: Vtree) -> tuple[bool, Violation | None]:
     """Every conjunction (explicit or a decision guard) must be binary and
-    split its input variables along some vtree node."""
-    if not circuit.variables <= vtree.leaf_set:
-        missing = sorted(circuit.variables - vtree.leaf_set)
+    split its input variables along some vtree node. Variable sets are
+    bitsets over the circuit's variables, and so are the vtree's splits."""
+    order, masks = _variable_masks(circuit)
+    missing = sorted(set(order) - vtree.leaf_set)
+    if missing:
         raise ValueError(f"circuit variables {missing} missing from the vtree")
-    splits = [(t.left.leaf_set, t.right.leaf_set) for t in vtree.internal_nodes()]
+    position = {v: i for i, v in enumerate(order)}
 
-    def splittable(a: frozenset[int], b: frozenset[int]) -> bool:
+    def mask(leaves: frozenset[int]) -> int:
+        return sum(1 << position[v] for v in leaves if v in position)
+
+    splits = [(mask(t.left.leaf_set), mask(t.right.leaf_set)) for t in vtree.internal_nodes()]
+
+    def splittable(a: int, b: int) -> bool:
         return any(
-            (a <= l and b <= r) or (a <= r and b <= l) for l, r in splits
+            (not a & ~l and not b & ~r) or (not a & ~r and not b & ~l) for l, r in splits
         )
 
     for i, gate in enumerate(circuit.gates):
         if isinstance(gate, AndGate):
             if len(gate.children) != 2:
                 return False, Violation(i, f"and-gate has fanin {len(gate.children)}, not 2")
-            a, b = (circuit.varsets[c] for c in gate.children)
+            a, b = (masks[c] for c in gate.children)
             if not splittable(a, b):
                 return False, Violation(i, "no vtree node splits this and-gate")
         elif isinstance(gate, DecisionGate):
-            guard = frozenset((gate.variable,))
+            guard = 1 << position[gate.variable]
             for branch in (gate.hi, gate.lo):
-                if not splittable(guard, circuit.varsets[branch]):
+                if not splittable(guard, masks[branch]):
                     return False, Violation(i, "no vtree node splits a decision guard")
     return True, None
 

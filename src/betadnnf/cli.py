@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import circuit as circuit_mod
@@ -202,16 +203,22 @@ def cmd_rectcover(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    formulas = generators.named_family(args.family, sizes, seed=args.seed)
-    rows = compiler_mod.compile_stats_sweep(formulas)
-    for row in rows:
+    rng = random.Random(args.seed)
+    if args.family == "chain":
+        formulas = [generators.chain_cnf(n) for n in sizes]
+    else:
+        formulas = [generators.random_beta_acyclic_cnf(rng, max_vars=n) for n in sizes]
+    for formula in formulas:
+        _, report = compiler_mod.compile_cnf(formula)
         if args.json:
-            print(json.dumps(row, sort_keys=True))
+            print(json.dumps({
+                "formula_size": report.formula_size,
+                "gates": report.gates,
+                "and_fanin_max": report.and_fanin_max,
+                "wall_time_seconds": report.wall_time_seconds,
+            }, sort_keys=True))
         else:
-            print(
-                f"size={row['formula_size']} gates={row['gates']} "
-                f"fanin={row['and_fanin_max']}"
-            )
+            print(f"size={report.formula_size} gates={report.gates} fanin={report.and_fanin_max}")
     return EXIT_OK
 
 

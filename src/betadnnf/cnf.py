@@ -67,10 +67,6 @@ class Assignment:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._bindings.items()))
 
-    def as_key(self) -> tuple[tuple[int, int], ...]:
-        """Canonical hashable form, used as a cache key component."""
-        return tuple(sorted(self._bindings.items()))
-
     def __getitem__(self, var: int) -> int:
         return self._bindings[var]
 
@@ -84,7 +80,7 @@ class Assignment:
         return isinstance(other, Assignment) and self._bindings == other._bindings
 
     def __hash__(self) -> int:
-        return hash(self.as_key())
+        return hash(tuple(sorted(self._bindings.items())))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}->{b}" for v, b in self.items())
@@ -129,23 +125,9 @@ class Clause:
         return f"Clause({list(self.sorted_literals())})"
 
 
-def falsifying_assignment(
-    clause: Clause,
-    order=None,
-    cutoff: int | None = None,
-) -> Assignment:
-    """The unique assignment of var(C) that satisfies no literal of C.
-
-    With `cutoff` x (a vertex of `order`), the result is restricted to the
-    variables of C that come strictly after x in the elimination order.
-    """
-    tau = Assignment({abs(l): 0 if l > 0 else 1 for l in clause.literals})
-    if cutoff is None:
-        return tau
-    if order is None:
-        raise ValueError("a cutoff requires an elimination order")
-    bar = order.rank[cutoff]
-    return tau.restrict(v for v in clause.variables if order.rank[v] > bar)
+def falsifying_assignment(clause: Clause) -> Assignment:
+    """The unique assignment of var(C) that satisfies no literal of C."""
+    return Assignment({abs(l): 0 if l > 0 else 1 for l in clause.literals})
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,14 @@
 The program works stage by stage along a beta-elimination order. For every
 clause C and stage variable x in var(C), it builds a gate computing the
 restriction of the reachable sub-formula around var(C) under the
-falsifying assignment of C above x. A stage gate is a decision on x whose
-branches are decomposable conjunctions of gates from earlier stages; the
-gate for the largest edge of each connected component at the last stage
-computes that component.
+falsifying assignment of C above x. With C's literals sorted by descending
+rank once, that restriction is the prefix of the list before x: the tuple
+of literals it falsifies, which is also its cache key, and the next literal
+names the stage that built it. A branch on x extends it to the set of
+literals it makes true, so it satisfies a clause D iff the set meets D. A
+stage gate is a decision on x whose branches are decomposable conjunctions
+of gates from earlier stages; the gate for the largest edge of each
+connected component at the last stage computes that component.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .circuit import AndGate, CircuitBuilder, NnfCircuit, prune_unreachable
-from .cnf import Assignment, Clause, CnfFormula, falsifying_assignment, hypergraph_of
+from .cnf import Clause, CnfFormula, hypergraph_of
 from .hypergraph import (
     EdgeOrder,
     EliminationOrder,
@@ -24,21 +28,11 @@ from .hypergraph import (
 )
 
 
-class Tautology:
-    """Marker value: the restriction satisfies every clause in scope."""
-
-    def __repr__(self) -> str:
-        return "TAUTOLOGY"
-
-
-TAUTOLOGY = Tautology()
-
-
 class SubFormulaKey(NamedTuple):
     """Identifies a cached gate; equal keys denote equal residual functions."""
 
     edge_index: int
-    restriction: tuple[tuple[int, int], ...]
+    restriction: tuple[int, ...]  # the literals falsified above cutoff, by descending rank
     cutoff: int
 
 
@@ -92,6 +86,9 @@ class Compiler:
             for v in e:
                 self.edges_with[v].append(i)
         self.clauses: list[Clause] = formula.sorted_clauses()
+        rank = order.rank
+        # each clause's literals by descending rank: a restriction is a prefix
+        self.ranked = [tuple(sorted(c.literals, key=lambda l: -rank[abs(l)])) for c in self.clauses]
         self.clauses_by_edge: dict[frozenset[int], list[int]] = {}
         self.clause_counts = dict.fromkeys(order.sequence, 0)
         for cid, clause in enumerate(self.clauses):
@@ -146,18 +143,22 @@ class Compiler:
             subtree.extend(self._children[g])
         return sorted(subtree)
 
-    def restriction_above(self, clause: Clause, cutoff: int) -> Assignment:
-        return falsifying_assignment(clause, self.order, cutoff)
+    def restriction_above(self, clause_id: int, cutoff: int) -> tuple[int, ...]:
+        """The literals of the clause on variables after `cutoff`, by
+        descending rank: those its falsifying assignment falsifies there."""
+        rank, ranked = self.order.rank, self.ranked[clause_id]
+        bar = rank[cutoff]
+        return ranked[:sum(rank[abs(l)] > bar for l in ranked)]
 
     def compute_U(
-        self, edge: Iterable[int], x: int, tau: Assignment
-    ) -> Tautology | list[tuple[frozenset[int], int]]:
-        """Decompose the restricted sub-formula at (edge, x) into independent
-        pieces rooted one stage earlier: TAUTOLOGY when `tau` satisfies every
-        clause in scope, else, in edge order, the candidates (edges of
-        R(edge, x) with a clause that `tau` fails) in R(f, y) for no other
-        candidate f, y being the predecessor of x, each with the lowest-id
-        clause that `tau` fails.
+        self, edge: Iterable[int], x: int, tau: frozenset[int]
+    ) -> list[tuple[frozenset[int], int]]:
+        """Decompose the sub-formula at (edge, x) restricted by `tau`, the
+        literals it makes true, into independent pieces rooted one stage
+        earlier: in edge order, the candidates (edges of R(edge, x) with a
+        clause that `tau` fails) in R(f, y) for no other candidate f, y being
+        the predecessor of x, each with the lowest-id clause that `tau` fails.
+        No pieces means `tau` satisfies every clause in scope.
 
         (a) For f < f', R(f, y) and R(f', y) are disjoint or nested: if they
         share an edge, R(f, y) is joined through edges below f' and so lies in
@@ -181,9 +182,9 @@ class Compiler:
         if rank[x] == 0:
             raise ValueError(f"variable {x} is first in the order and has no predecessor")
         expected = frozenset(v for v in e if rank[v] >= rank[x])
-        if tau.domain() != expected:
+        if len(tau) != len(expected) or {abs(l) for l in tau} != expected:
             raise ValueError(
-                f"restriction must bind exactly {sorted(expected)}, got {sorted(tau.domain())}"
+                f"restriction must bind exactly {sorted(expected)}, got {sorted(tau, key=abs)}"
             )
         self._forest_at(rank[x] - 1)
         parent, children = self._parent, self._children
@@ -201,30 +202,28 @@ class Compiler:
         pieces: list[tuple[int, int]] = []
         while stack:
             g = stack.pop()
-            unsat = (c for c in clauses_by_edge[edges[g]] if not clauses[c].satisfied_by(tau))
+            unsat = (c for c in clauses_by_edge[edges[g]] if tau.isdisjoint(clauses[c].literals))
             cid = next(unsat, None)
             if cid is None:
                 stack.extend(children[g])
             else:
                 pieces.append((g, cid))
         pieces.sort()
-        return [(edges[g], cid) for g, cid in pieces] if pieces else TAUTOLOGY
+        return [(edges[g], cid) for g, cid in pieces]
 
     def lookup(self, edge: frozenset[int], clause_id: int, cutoff: int) -> int:
         """Gate for the sub-formula at (edge, cutoff) under the clause's
         falsifying restriction, resolved to the stage where it was built.
 
-        Stages between the cutoff and the largest edge variable below it do
-        not change the sub-formula; with no edge variable at or below the
+        Stages between the cutoff and the next clause variable below it do
+        not change the sub-formula; with no clause variable at or below the
         cutoff the restriction kills the clause, giving constant false.
         """
-        rank = self.order.rank
-        ranks_at_or_below = [rank[v] for v in edge if rank[v] <= rank[cutoff]]
-        if not ranks_at_or_below:
+        tau = self.restriction_above(clause_id, cutoff)
+        ranked = self.ranked[clause_id]
+        if len(tau) == len(ranked):
             return self.builder.false()
-        stage_var = self.order.sequence[max(ranks_at_or_below)]
-        tau = self.restriction_above(self.clauses[clause_id], stage_var)
-        key = SubFormulaKey(self.edge_index[edge], tau.as_key(), stage_var)
+        key = SubFormulaKey(self.edge_index[edge], tau, abs(ranked[len(tau)]))
         gate = self.cache.get(key)
         if gate is None:
             raise AssertionError(f"uncomputed sub-circuit requested: {key}")
@@ -234,13 +233,12 @@ class Compiler:
         """First stage: the restriction satisfies each reachable clause or
         leaves its literal on the first variable, which they all hold."""
         first = self.order.sequence[0]
-        clause = self.clauses[clause_id]
-        tau = self.restriction_above(clause, first)
+        tau = frozenset(-l for l in self.restriction_above(clause_id, first))
         literals = set()
-        for i in self.reachable_edges(clause.variables, first):
+        for i in self.reachable_edges(self.clauses[clause_id].variables, first):
             for cid in self.clauses_by_edge[self.edges[i]]:
-                if not self.clauses[cid].satisfied_by(tau):
-                    rest = [l for l in self.clauses[cid].literals if abs(l) not in tau]
+                if tau.isdisjoint(self.clauses[cid].literals):
+                    rest = [l for l in self.clauses[cid].literals if -l not in tau]
                     if len(rest) != 1 or abs(rest[0]) != first:
                         raise AssertionError("first-stage residual is not a unit over the first variable")
                     literals.add(rest[0])
@@ -252,21 +250,15 @@ class Compiler:
 
     def decision_step(self, clause_id: int, x: int) -> int:
         """Emit the decision gate on x for the given clause; both branches
-        are conjunctions of gates cached at the predecessor stage."""
-        clause = self.clauses[clause_id]
-        e = clause.variables
-        tau_above = self.restriction_above(clause, x)
+        are conjunctions of gates cached at the predecessor stage, and an
+        empty conjunction is constant true."""
+        e = self.clauses[clause_id].variables
+        above = frozenset(-l for l in self.restriction_above(clause_id, x))
         y = self.order.predecessor(x)
         branches = {}
         for b in (1, 0):
-            tau = tau_above.union(Assignment({x: b}))
-            pieces = self.compute_U(e, x, tau)
-            if pieces is TAUTOLOGY:
-                branches[b] = self.builder.true()
-            else:
-                branches[b] = self.builder.and_(
-                    self.lookup(g, cid, y) for g, cid in pieces
-                )
+            pieces = self.compute_U(e, x, above | {x if b else -x})
+            branches[b] = self.builder.and_(self.lookup(g, cid, y) for g, cid in pieces)
         return self.builder.decision(x, branches[1], branches[0])
 
     def run(self) -> tuple[NnfCircuit, CompileReport]:
@@ -277,8 +269,7 @@ class Compiler:
             for j in self.edges_with[x]:
                 e = self.edges[j]
                 for cid in self.clauses_by_edge[e]:
-                    tau = self.restriction_above(self.clauses[cid], x)
-                    key = SubFormulaKey(j, tau.as_key(), x)
+                    key = SubFormulaKey(j, self.restriction_above(cid, x), x)
                     if key in self.cache:
                         continue
                     gate = self._base_gate(cid) if i == 0 else self.decision_step(cid, x)
@@ -347,19 +338,3 @@ def compile_cnf(
     if not formula.clauses:
         return _degenerate(formula, constant_true=True, start=start)
     return Compiler(formula, order).run()
-
-
-def compile_stats_sweep(formulas: Iterable[CnfFormula]) -> list[dict]:
-    """Compile each formula and tabulate size, gate count, fanin, and time."""
-    rows = []
-    for formula in formulas:
-        circuit, report = compile_cnf(formula)
-        rows.append(
-            {
-                "formula_size": report.formula_size,
-                "gates": report.gates,
-                "and_fanin_max": report.and_fanin_max,
-                "wall_time_seconds": report.wall_time_seconds,
-            }
-        )
-    return rows

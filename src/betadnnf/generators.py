@@ -7,7 +7,6 @@ one or two random-polarity clauses per hypergraph edge.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .cnf import Clause, CnfFormula
 from .hypergraph import EliminationOrder, Hypergraph, beta_elimination_order
@@ -56,12 +55,3 @@ def chain_cnf(n: int) -> CnfFormula:
     if n < 2:
         raise ValueError("a chain needs at least two variables")
     return CnfFormula.from_ints([i, i + 1] for i in range(1, n))
-
-
-def named_family(name: str, sizes: Iterable[int], seed: int = 0) -> list[CnfFormula]:
-    rng = random.Random(seed)
-    if name == "chain":
-        return [chain_cnf(n) for n in sizes]
-    if name == "random":
-        return [random_beta_acyclic_cnf(rng, max_vars=n) for n in sizes]
-    raise ValueError(f"unknown family {name!r}")

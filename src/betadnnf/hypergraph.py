@@ -216,9 +216,6 @@ class EdgeOrder:
     def sort(self, edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:
         return sorted(edges, key=self.key)
 
-    def max(self, edges: Iterable[frozenset[int]]) -> frozenset[int]:
-        return max(edges, key=self.key)
-
 
 def sub_hypergraph(
     hypergraph: Hypergraph,

@@ -18,7 +18,9 @@ from betadnnf import (
     trace_to_circuit,
     write_nnf,
 )
+from betadnnf import circuit as circuit_mod
 from betadnnf.circuit import (
+    AndGate,
     CircuitBuilder,
     DecisionGate,
     LiteralGate,
@@ -35,8 +37,8 @@ from betadnnf.circuit import (
     truth_tables,
 )
 from betadnnf.errors import CapExceededError, CircuitPropertyError, NnfParseError
-from betadnnf.dpll import OrderStrategy
-from betadnnf.generators import random_beta_acyclic_cnf
+from betadnnf.dpll import OrderStrategy, search
+from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 
 
 def simple_decision() -> NnfCircuit:
@@ -232,6 +234,66 @@ class TestVtree:
         both = b.and_([b.and_([b.literal(1), b.literal(3)]),
                        b.and_([b.literal(2), b.literal(4)])])
         assert not respects_vtree(b.build(both), vtree)[0]
+
+    def test_variable_sets_are_computed_once(self, monkeypatch):
+        calls = []
+        original = circuit_mod._variable_masks
+
+        def counting(circuit):
+            calls.append(circuit)
+            return original(circuit)
+
+        monkeypatch.setattr(circuit_mod, "_variable_masks", counting)
+        n = 40
+        _, _, trace = search(chain_cnf(n), OrderStrategy.lexicographic(), trace=True)
+        vtree = Vtree.leaf(n)
+        for v in range(n - 1, 0, -1):
+            vtree = Vtree.node(Vtree.leaf(v), vtree)
+        assert respects_vtree(trace, vtree) == (True, None)
+        assert len(calls) == 1
+
+    def test_matches_the_set_definition(self):
+        """Against the definition over `varsets`, on DPLL traces of random
+        formulas and random vtrees over their variables."""
+
+        def reference(circuit, vtree):
+            varsets = circuit.varsets
+            splits = [(t.left.leaf_set, t.right.leaf_set) for t in vtree.internal_nodes()]
+
+            def splittable(a, b):
+                return any((a <= l and b <= r) or (a <= r and b <= l) for l, r in splits)
+
+            for i, gate in enumerate(circuit.gates):
+                if isinstance(gate, AndGate):
+                    if len(gate.children) != 2:
+                        return False, Violation(i, f"and-gate has fanin {len(gate.children)}, not 2")
+                    if not splittable(*(varsets[c] for c in gate.children)):
+                        return False, Violation(i, "no vtree node splits this and-gate")
+                elif isinstance(gate, DecisionGate):
+                    for branch in (gate.hi, gate.lo):
+                        if not splittable(frozenset((gate.variable,)), varsets[branch]):
+                            return False, Violation(i, "no vtree node splits a decision guard")
+            return True, None
+
+        def random_vtree(rng, variables):
+            nodes = [Vtree.leaf(v) for v in variables]
+            while len(nodes) > 1:
+                i, j = sorted(rng.sample(range(len(nodes)), 2))
+                right, left = nodes.pop(j), nodes.pop(i)
+                nodes.append(Vtree.node(left, right))
+            return nodes[0]
+
+        rng = random.Random(541)
+        verdicts = set()
+        for _ in range(120):
+            formula = random_beta_acyclic_cnf(rng, max_vars=7, max_clauses=6)
+            _, _, trace = search(formula, OrderStrategy.lexicographic(), trace=True)
+            extra = rng.sample(range(8, 12), rng.randint(0, 2))
+            vtree = random_vtree(rng, sorted(trace.variables) + extra)
+            got = respects_vtree(trace, vtree)
+            assert got == reference(trace, vtree), write_nnf(trace)
+            verdicts.add(got[0])
+        assert verdicts == {True, False}
 
 
 class TestEquivalence:

@@ -15,7 +15,6 @@ from betadnnf import (
     write_dimacs,
 )
 from betadnnf.errors import CapExceededError, DimacsParseError
-from betadnnf.hypergraph import EliminationOrder
 
 from conftest import FSTAR_DIMACS, FSTAR_EDGES
 
@@ -94,12 +93,6 @@ class TestFalsifyingAssignment:
     def test_plain(self):
         tau = falsifying_assignment(Clause([1, -3]))
         assert dict(tau.items()) == {1: 0, 3: 1}
-
-    def test_cutoff(self):
-        order = EliminationOrder((1, 2, 3, 4, 5))
-        k5 = Clause([2, 4, 5])
-        assert dict(falsifying_assignment(k5, order, 4).items()) == {5: 0}
-        assert len(falsifying_assignment(k5, order, 5)) == 0
 
     def test_never_satisfies_and_binds_exactly_clause_vars(self):
         for lits in ([1, 2], [-1, 3], [-2], [1, -4, 5]):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 
 import pytest
@@ -11,12 +14,15 @@ from betadnnf import (
     check_decomposable,
     count_models,
     equivalent_to_formula,
+    falsifying_assignment,
     hypergraph_of,
+    parse_dimacs,
     write_nnf,
 )
 from betadnnf.circuit import AndGate, DecisionGate, LiteralGate
-from betadnnf.compiler import TAUTOLOGY, Compiler, compile_cnf, compile_stats_sweep
-from betadnnf.dpll import OrderStrategy, count_dpll
+from betadnnf.cli import main
+from betadnnf.compiler import Compiler, compile_cnf
+from betadnnf.dpll import OrderStrategy, count_dpll, search
 from betadnnf.errors import NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 from betadnnf.hypergraph import EliminationOrder, beta_elimination_order, sub_hypergraph
@@ -25,6 +31,7 @@ from conftest import FSTAR_EDGES, fibonacci, interval3_clauses, linear_fit_r2, t
 
 E1, E2, E3, E4, E5 = (FSTAR_EDGES[k] for k in ("e1", "e2", "e3", "e4", "e5"))
 ORDER = EliminationOrder((1, 2, 3, 4, 5))
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def clause_sets(formula):
@@ -69,8 +76,6 @@ def compute_U(formula, order, edge, x, tau):
     """Pieces of `Compiler.compute_U` with clause ids mapped to clauses."""
     compiler = Compiler(formula, order)
     pieces = compiler.compute_U(edge, x, tau)
-    if pieces is TAUTOLOGY:
-        return TAUTOLOGY
     return [(g, compiler.clauses[cid]) for g, cid in pieces]
 
 
@@ -82,11 +87,9 @@ def pairwise_compute_U(compiler, edge, x, tau):
     lowest_unsat = {}
     for g in sub_hypergraph(graph, order, edge, x).edges:
         for cid in compiler.clauses_by_edge[g]:
-            if not compiler.clauses[cid].satisfied_by(tau):
+            if tau.isdisjoint(compiler.clauses[cid].literals):
                 lowest_unsat[g] = cid
                 break
-    if not lowest_unsat:
-        return TAUTOLOGY
     y = order.predecessor(x)
     candidates = compiler.edge_order.sort(lowest_unsat)
     return [
@@ -189,32 +192,34 @@ class TestReachabilityForest:
 
 class TestComputeU:
     def test_low_branch_keeps_the_big_edge(self, fstar):
-        got = compute_U(fstar, ORDER, E5, 5, Assignment({5: 0}))
+        got = compute_U(fstar, ORDER, E5, 5, frozenset({-5}))
         assert [(g, c.sorted_literals()) for g, c in got] == [(E5, (2, 4, 5))]
 
     def test_high_branch_splits(self, fstar):
-        got = compute_U(fstar, ORDER, E5, 5, Assignment({5: 1}))
+        got = compute_U(fstar, ORDER, E5, 5, frozenset({5}))
         assert [(g, c.sorted_literals()) for g, c in got] == [(E1, (1, 2)), (E2, (3, 4))]
 
     def test_tautology(self):
         formula = CnfFormula.from_ints([[1, 2]])
         got = compute_U(formula, EliminationOrder((1, 2)), frozenset({1, 2}), 2,
-                        Assignment({2: 1}))
-        assert got is TAUTOLOGY
+                        frozenset({2}))
+        assert got == []
 
     def test_first_variable_rejected(self, fstar):
         with pytest.raises(ValueError, match="predecessor"):
-            compute_U(fstar, ORDER, E1, 1, Assignment({1: 0, 2: 0}))
+            compute_U(fstar, ORDER, E1, 1, frozenset({-1, -2}))
 
     def test_unknown_edge_or_absent_variable_rejected(self, fstar):
         with pytest.raises(ValueError, match="edge"):
-            compute_U(fstar, ORDER, frozenset({1, 5}), 5, Assignment({5: 0}))
+            compute_U(fstar, ORDER, frozenset({1, 5}), 5, frozenset({-5}))
         with pytest.raises(ValueError, match="variable 3 does not occur"):
-            compute_U(fstar, ORDER, E5, 3, Assignment({3: 0, 4: 0, 5: 0}))
+            compute_U(fstar, ORDER, E5, 3, frozenset({-3, -4, -5}))
 
     def test_domain_mismatch_rejected(self, fstar):
         with pytest.raises(ValueError, match="bind exactly"):
-            compute_U(fstar, ORDER, E5, 5, Assignment({4: 0, 5: 0}))
+            compute_U(fstar, ORDER, E5, 5, frozenset({-4, -5}))
+        with pytest.raises(ValueError, match="bind exactly"):
+            compute_U(fstar, ORDER, E5, 5, frozenset({5, -5}))
 
     def test_candidates_joined_only_above_them_stay_apart(self):
         """{1,2} and {3,4} share a class one stage down only through the
@@ -222,7 +227,7 @@ class TestComputeU:
         largest candidate of each class would drop {1,2}."""
         formula = CnfFormula.from_ints([[1, 2], [3, -4], [1, 3, 4]])
         got = compute_U(formula, EliminationOrder((2, 1, 3, 4)), frozenset({1, 3, 4}), 4,
-                        Assignment({4: 1}))
+                        frozenset({4}))
         assert [(g, c.sorted_literals()) for g, c in got] == [
             (frozenset({1, 2}), (1, 2)),
             (frozenset({3, 4}), (3, -4)),
@@ -236,16 +241,89 @@ class TestComputeU:
         for formula in formulas:
             compiler = Compiler(formula)
             rank = compiler.order.rank
-            for clause in compiler.clauses:
+            for cid, clause in enumerate(compiler.clauses):
                 for x in clause.variables:
                     if rank[x] == 0:
                         continue
-                    above = compiler.restriction_above(clause, x)
+                    above = frozenset(-l for l in compiler.restriction_above(cid, x))
                     for b in (0, 1):
-                        tau = above.union(Assignment({x: b}))
+                        tau = above | {x if b else -x}
                         assert compiler.compute_U(clause.variables, x, tau) == (
                             pairwise_compute_U(compiler, clause.variables, x, tau)
                         ), (clause, x, tau)
+
+
+class TestRestrictionAbove:
+    def test_cutoff(self, fstar):
+        compiler = Compiler(fstar, ORDER)
+        k5 = [c.sorted_literals() for c in compiler.clauses].index((2, 4, 5))
+        assert dict(falsifying_assignment(Clause(compiler.restriction_above(k5, 4))).items()) == {5: 0}
+        assert len(compiler.restriction_above(k5, 5)) == 0
+
+    def test_prefix_of_the_ranked_literals(self, fstar):
+        compiler = Compiler(fstar, ORDER)
+        k5 = [c.sorted_literals() for c in compiler.clauses].index((2, 4, 5))
+        assert compiler.ranked[k5] == (5, 4, 2)
+        assert [compiler.restriction_above(k5, x) for x in (5, 4, 3, 2, 1)] == [
+            (), (5,), (5, 4), (5, 4), (5, 4, 2)]
+
+
+class TestCacheKeys:
+    def test_one_entry_per_distinct_restriction(self):
+        """The old representation is the oracle: one entry per distinct
+        (edge, falsifying assignment of C on the variables after x, x)."""
+        rng = random.Random(31)
+        formulas = [random_beta_acyclic_cnf(rng, max_vars=10, max_clauses=16) for _ in range(100)]
+        formulas += [random_interval_cnf(rng, rng.randint(3, 14), rng.randint(2, 20))
+                     for _ in range(60)]
+        for formula in formulas:
+            comp = Compiler(formula)
+            comp.run()
+            rank = comp.order.rank
+            distinct = {
+                (c.variables,
+                 falsifying_assignment(c).restrict(v for v in c.variables if rank[v] > rank[x]),
+                 x)
+                for c in comp.clauses
+                for x in c.variables
+            }
+            assert len(comp.cache) == len(distinct), formula
+
+    def test_equal_restrictions_share_an_entry(self):
+        comp = Compiler(CnfFormula.from_ints([[1, 2], [-1, 2]]), EliminationOrder((1, 2)))
+        comp.run()
+        assert sorted(comp.cache) == [(0, (), 2), (0, (2,), 1)]
+
+
+class TestGoldenOutput:
+    """Compiled NNF bytes are pinned: on the golden files, and by a digest
+    over a seeded random pool plus chain and interval-3 formulas."""
+
+    POOL_SHA256 = "4b8972f135c5a7ab91d4381ad42b1a1370667d6f5afd58c2126d37408857c427"
+
+    @staticmethod
+    def golden(name):
+        with open(os.path.join(GOLDEN, name), encoding="ascii") as handle:
+            return handle.read()
+
+    def test_fstar_compiles_to_the_golden_file(self):
+        circuit, _ = compile_cnf(parse_dimacs(self.golden("fstar.cnf")))
+        assert write_nnf(circuit) == self.golden("fstar.nnf")
+
+    def test_fstar_trace_is_the_golden_file(self):
+        formula = parse_dimacs(self.golden("fstar.cnf"))
+        _, _, trace = search(formula, OrderStrategy.reverse_beta_elimination(), trace=True)
+        assert write_nnf(trace) == self.golden("fstar_trace.nnf")
+
+    def test_seeded_pool_digest(self):
+        rng = random.Random(8)
+        pool = [random_beta_acyclic_cnf(rng) for _ in range(300)]
+        for n in (50, 120):
+            pool += [chain_cnf(n), CnfFormula.from_ints(interval3_clauses(n))]
+        digest = hashlib.sha256()
+        for formula in pool:
+            digest.update(write_nnf(compile_cnf(formula)[0]).encode())
+        assert digest.hexdigest() == self.POOL_SHA256
 
 
 class TestDecisionStepStructure:
@@ -373,7 +451,7 @@ class TestRandomisedEquivalence:
             for key, gate in comp.cache.items():
                 edge = edges[key.edge_index]
                 residual = sub_formula(comp, edge, key.cutoff).restrict(
-                    Assignment(dict(key.restriction))
+                    falsifying_assignment(Clause(key.restriction))
                 )
                 rooted = comp.full_circuit.root_at(gate)
                 assert equivalent_to_formula(rooted, residual)
@@ -449,18 +527,23 @@ class TestPastTheEnumerationCap:
             assert count_models(circuit, formula.variables) == expected
 
 
+def bench_rows(capsys, *argv):
+    assert main(["--json", "bench", *argv]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
 class TestStatsSweep:
-    def test_chain_family_grows_linearly(self):
+    def test_chain_family_grows_linearly(self, capsys):
         sizes = [10, 50, 100, 200]
-        rows = compile_stats_sweep([chain_cnf(n) for n in sizes])
+        rows = bench_rows(capsys, "--family", "chain", "--sizes", ",".join(map(str, sizes)))
         gates = [r["gates"] for r in rows]
         assert linear_fit_r2([r["formula_size"] for r in rows], gates) >= 0.98
         for row in rows:
             assert row["gates"] <= 7 * row["formula_size"] + 4
 
     def test_worked_example_row(self, fstar):
-        rows = compile_stats_sweep([fstar])
-        assert rows[0]["gates"] <= 77
+        _, report = compile_cnf(fstar)
+        assert report.gates <= 77
 
-    def test_empty_sweep(self):
-        assert compile_stats_sweep([]) == []
+    def test_empty_sweep(self, capsys):
+        assert bench_rows(capsys, "--sizes", "") == []
