@@ -372,14 +372,14 @@ def condition(circuit: NnfCircuit, tau: cnf_mod.Assignment) -> NnfCircuit:
                 remap.append(builder.false())
                 continue
             kids = [k for k in kids if not isinstance(builder.gate(k), TrueGate)]
-            remap.append(builder.true() if not kids else builder.and_(kids))
+            remap.append(builder.and_(kids))
         elif isinstance(gate, OrGate):
             kids = [remap[c] for c in gate.children]
             if any(isinstance(builder.gate(k), TrueGate) for k in kids):
                 remap.append(builder.true())
                 continue
             kids = [k for k in kids if not isinstance(builder.gate(k), FalseGate)]
-            remap.append(builder.false() if not kids else builder.or_(kids))
+            remap.append(builder.or_(kids))
         else:
             val = tau.get(gate.variable)
             if val is None:
@@ -502,40 +502,69 @@ def is_satisfiable(circuit: NnfCircuit) -> tuple[bool, cnf_mod.Assignment | None
 
 
 class Vtree:
-    """Rooted binary tree whose leaves are labelled bijectively by variables."""
+    """Rooted binary tree whose leaves are labelled bijectively: the vtree
+    of a structured circuit, and the branch decomposition of a graph.
 
-    __slots__ = ("variable", "left", "right", "leaf_set")
+    Since the labels are distinct, a tree up to child order is exactly the
+    set of its nodes' leaf sets, which is what `==` compares."""
 
-    def __init__(self, variable=None, left=None, right=None):
-        self.variable = variable
+    __slots__ = ("label", "left", "right", "leaf_set")
+
+    def __init__(self, label=None, left=None, right=None):
+        self.label = label
         self.left = left
         self.right = right
-        if variable is not None:
-            self.leaf_set = frozenset((variable,))
+        if label is not None:
+            self.leaf_set = frozenset((label,))
         else:
             if left is None or right is None:
-                raise ValueError("an internal vtree node needs two children")
+                raise ValueError("an internal node needs two children")
             if left.leaf_set & right.leaf_set:
-                raise ValueError("vtree leaves must be distinct")
+                raise ValueError("leaf labels must be distinct")
             self.leaf_set = left.leaf_set | right.leaf_set
 
     @classmethod
-    def leaf(cls, variable: int) -> "Vtree":
-        return cls(variable=variable)
+    def leaf(cls, label) -> "Vtree":
+        return cls(label=label)
 
     @classmethod
     def node(cls, left: "Vtree", right: "Vtree") -> "Vtree":
         return cls(left=left, right=right)
 
     def is_leaf(self) -> bool:
-        return self.variable is not None
+        return self.label is not None
 
-    def internal_nodes(self):
-        if self.is_leaf():
-            return
-        yield self
-        yield from self.left.internal_nodes()
-        yield from self.right.internal_nodes()
+    def nodes(self):
+        """Every node of the tree, root first, without recursion."""
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            yield t
+            if not t.is_leaf():
+                stack.append(t.right)
+                stack.append(t.left)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Vtree):
+            return False
+        return {t.leaf_set for t in self.nodes()} == {t.leaf_set for t in other.nodes()}
+
+    def __hash__(self) -> int:
+        return hash(self.leaf_set)
+
+    def __repr__(self) -> str:
+        """Nested parentheses, e.g. ((1 2) 3), written with an explicit stack."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif t.is_leaf():
+                out.append(str(t.label))
+            else:
+                stack.extend((")", t.right, " ", t.left, "("))
+        return "".join(out)
 
 
 def respects_vtree(circuit: NnfCircuit, vtree: Vtree) -> tuple[bool, Violation | None]:
@@ -551,7 +580,9 @@ def respects_vtree(circuit: NnfCircuit, vtree: Vtree) -> tuple[bool, Violation |
     def mask(leaves: frozenset[int]) -> int:
         return sum(1 << position[v] for v in leaves if v in position)
 
-    splits = [(mask(t.left.leaf_set), mask(t.right.leaf_set)) for t in vtree.internal_nodes()]
+    splits = [
+        (mask(t.left.leaf_set), mask(t.right.leaf_set)) for t in vtree.nodes() if not t.is_leaf()
+    ]
 
     def splittable(a: int, b: int) -> bool:
         return any(

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .cnf import Assignment, Clause, CnfFormula, hypergraph_of
+from .circuit import Vtree as BranchDecomposition
+from .cnf import Assignment, Clause, CnfFormula, hypergraph_of, truth_table_of_formula
 from .errors import CapExceededError
 from .hypergraph import (
     EliminationOrder,
@@ -114,106 +115,42 @@ def max_induced_matching_in_cut(
     return _max_independent_set(adjacency)
 
 
-class BranchDecomposition:
-    """Rooted binary tree whose leaves are labelled bijectively by the
-    vertices of a graph."""
-
-    __slots__ = ("label", "left", "right", "leaf_set")
-
-    def __init__(self, label=None, left=None, right=None):
-        self.label = label
-        self.left = left
-        self.right = right
-        if label is not None:
-            self.leaf_set = frozenset((label,))
-        else:
-            if left is None or right is None:
-                raise ValueError("an internal node needs two children")
-            if left.leaf_set & right.leaf_set:
-                raise ValueError("leaf labels must be distinct")
-            self.leaf_set = left.leaf_set | right.leaf_set
-
-    @classmethod
-    def leaf(cls, label: Label) -> "BranchDecomposition":
-        return cls(label=label)
-
-    @classmethod
-    def node(cls, left: "BranchDecomposition", right: "BranchDecomposition") -> "BranchDecomposition":
-        return cls(left=left, right=right)
-
-    def is_leaf(self) -> bool:
-        return self.label is not None
-
-    def subtree_leaf_sets(self):
-        """Leaf set of every node of the tree, root included."""
-        yield self.leaf_set
-        if not self.is_leaf():
-            yield from self.left.subtree_leaf_sets()
-            yield from self.right.subtree_leaf_sets()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BranchDecomposition):
-            return False
-        if self.is_leaf() or other.is_leaf():
-            return self.label == other.label
-        return (self.left == other.left and self.right == other.right) or (
-            self.left == other.right and self.right == other.left
-        )
-
-    def __hash__(self) -> int:
-        if self.is_leaf():
-            return hash(("leaf", self.label))
-        return hash(("node", frozenset((hash(self.left), hash(self.right)))))
-
-    def __repr__(self) -> str:
-        return write_branch_decomposition(self)
-
-
 def parse_branch_decomposition(text: str) -> BranchDecomposition:
     """Nested parentheses over leaf labels, e.g. ((1 2)((3)(4))); groups of
-    more than two items are left-normalized into binary nodes."""
+    more than two items are left-normalized into binary nodes. The open
+    groups live on an explicit stack, so any depth parses."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def atom(token: str) -> BranchDecomposition:
-        try:
-            return BranchDecomposition.leaf(int(token))
-        except ValueError:
-            return BranchDecomposition.leaf(token)
-
-    def parse_item() -> BranchDecomposition:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of input")
-        token = tokens[pos]
-        pos += 1
+    if not tokens:
+        raise ValueError("unexpected end of input")
+    if tokens[0] == ")":
+        raise ValueError("unexpected ')'")
+    groups: list[list[BranchDecomposition]] = []
+    for pos, token in enumerate(tokens):
+        if token == "(":
+            groups.append([])
+            continue
         if token == ")":
-            raise ValueError("unexpected ')'")
-        if token != "(":
-            return atom(token)
-        items = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            items.append(parse_item())
-        if pos >= len(tokens):
-            raise ValueError("missing ')'")
-        pos += 1
-        if not items:
-            raise ValueError("empty group")
-        tree = items[0]
-        for nxt in items[1:]:
-            tree = BranchDecomposition.node(tree, nxt)
-        return tree
-
-    tree = parse_item()
-    if pos != len(tokens):
-        raise ValueError("trailing input after the decomposition")
-    return tree
+            items = groups.pop()
+            if not items:
+                raise ValueError("empty group")
+            item = items[0]
+            for nxt in items[1:]:
+                item = BranchDecomposition.node(item, nxt)
+        else:
+            try:
+                item = BranchDecomposition.leaf(int(token))
+            except ValueError:
+                item = BranchDecomposition.leaf(token)
+        if not groups:
+            if pos != len(tokens) - 1:
+                raise ValueError("trailing input after the decomposition")
+            return item
+        groups[-1].append(item)
+    raise ValueError("missing ')'")
 
 
 def write_branch_decomposition(tree: BranchDecomposition) -> str:
-    if tree.is_leaf():
-        return str(tree.label)
-    return f"({write_branch_decomposition(tree.left)} {write_branch_decomposition(tree.right)})"
+    return repr(tree)
 
 
 def mimw_of_decomposition(graph: Graph, tree: BranchDecomposition, cap: int = 16) -> int:
@@ -225,10 +162,10 @@ def mimw_of_decomposition(graph: Graph, tree: BranchDecomposition, cap: int = 16
     if tree.leaf_set != graph.vertices:
         raise ValueError("decomposition leaves do not match the graph vertices")
     width = 0
-    for leaf_set in set(tree.subtree_leaf_sets()):
+    for t in tree.nodes():
         width = max(
             width,
-            max_induced_matching_in_cut(graph, leaf_set, graph.vertices - leaf_set),
+            max_induced_matching_in_cut(graph, t.leaf_set, graph.vertices - t.leaf_set),
         )
     return width
 
@@ -334,8 +271,6 @@ def min_rectangle_cover(
         if not function.variables <= set(variables):
             extra = sorted(function.variables - set(variables))
             raise ValueError(f"formula variables {extra} outside the split")
-        from .cnf import truth_table_of_formula
-
         table = truth_table_of_formula(function, variables)
         sat = {a for a in range(1 << len(variables)) if table >> a & 1}
     else:

@@ -258,7 +258,7 @@ class TestVtree:
 
         def reference(circuit, vtree):
             varsets = circuit.varsets
-            splits = [(t.left.leaf_set, t.right.leaf_set) for t in vtree.internal_nodes()]
+            splits = [(t.left.leaf_set, t.right.leaf_set) for t in vtree.nodes() if not t.is_leaf()]
 
             def splittable(a, b):
                 return any((a <= l and b <= r) or (a <= r and b <= l) for l, r in splits)

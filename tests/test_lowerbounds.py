@@ -279,6 +279,17 @@ class TestFiles:
         assert tree.leaf_set == frozenset({1, 2, 3})
 
     def test_malformed(self):
-        for bad in ["(1 2", "1)", "()", "(1 2))"]:
-            with pytest.raises(ValueError):
+        for bad, message in [
+            ("", "unexpected end of input"),
+            ("(", "missing ')'"),
+            (")", "unexpected ')'"),
+            ("1)", "trailing input after the decomposition"),
+            ("(1 2", "missing ')'"),
+            ("()", "empty group"),
+            ("(1 2))", "trailing input after the decomposition"),
+            ("(1 2) 3", "trailing input after the decomposition"),
+            ("((1 1))", "leaf labels must be distinct"),
+        ]:
+            with pytest.raises(ValueError) as info:
                 parse_branch_decomposition(bad)
+            assert str(info.value) == message
