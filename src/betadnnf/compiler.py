@@ -62,8 +62,6 @@ class Compiler:
     """One compilation run; exposes the cache and intermediate queries."""
 
     def __init__(self, formula: CnfFormula, order: EliminationOrder | None = None):
-        if formula.has_empty_clause():
-            raise ValueError("formula contains the empty clause; compile handles this before")
         self.formula = formula
         self.hypergraph = hypergraph_of(formula)
         if order is None:
@@ -306,21 +304,6 @@ class Compiler:
         return circuit, report
 
 
-def _degenerate(formula: CnfFormula, constant_true: bool, start: float) -> tuple[NnfCircuit, CompileReport]:
-    builder = CircuitBuilder()
-    circuit = builder.build(builder.true() if constant_true else builder.false())
-    report = CompileReport(
-        gates=1,
-        and_fanin_max=0,
-        clause_counts={},
-        elimination_order=(),
-        wall_time_seconds=time.perf_counter() - start,
-        components=0,
-        formula_size=formula.size,
-    )
-    return circuit, report
-
-
 def compile_cnf(
     formula: CnfFormula, order: EliminationOrder | None = None
 ) -> tuple[NnfCircuit, CompileReport]:
@@ -332,9 +315,17 @@ def compile_cnf(
     (with the stuck vertex set) otherwise. A formula containing the empty
     clause compiles to the constant-false circuit.
     """
-    start = time.perf_counter()
     if formula.has_empty_clause():
-        return _degenerate(formula, constant_true=False, start=start)
-    if not formula.clauses:
-        return _degenerate(formula, constant_true=True, start=start)
+        start = time.perf_counter()
+        builder = CircuitBuilder()
+        circuit = builder.build(builder.false())
+        return circuit, CompileReport(
+            gates=1,
+            and_fanin_max=0,
+            clause_counts={},
+            elimination_order=(),
+            wall_time_seconds=time.perf_counter() - start,
+            components=0,
+            formula_size=formula.size,
+        )
     return Compiler(formula, order).run()

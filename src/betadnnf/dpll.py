@@ -313,15 +313,14 @@ def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: i
     goes as (key, literal, count): the literal set to reach it with the
     parent's variable count, or 0 with its own count for a part, or None
     with the formula's count for the root."""
-    trivial = formula.has_empty_clause() or not formula.clauses
-    priority = () if trivial else (strategy or OrderStrategy.lexicographic()).priority(formula)
     cache: dict[tuple[int, ...], tuple] = {}
     builder = CircuitBuilder() if trace else None
-    if trivial:
-        res, root = None, _FALSIFIED if formula.has_empty_clause() else ()
+    if formula.has_empty_clause():
+        root, nvars = _FALSIFIED, 0
     else:
+        priority = (strategy or OrderStrategy.lexicographic()).priority(formula)
         res = _Residuals(formula.clauses, priority)
-        root, order, M, width = res.root, res.order, res.M, 2 * res.M
+        root, nvars, order, M, width = res.root, res.nvars, res.order, res.M, 2 * res.M
         size, advance, assign, undo = res.size, res.advance, res.assign, res.undo
 
     def expand(key, lit, nvars):
@@ -358,7 +357,7 @@ def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: i
         cache[key] = result = (total, gate, nvars)
         return result
 
-    stack = [_root(root, 0 if trivial else res.nvars)]
+    stack = [_root(root, nvars)]
     value, steps, hits, misses, decisions, splits = None, 0, 0, 0, 0, 0
     peak = 1  # the stack only grows by a push, and a pushed residual yields at once
     limit = sys.maxsize if budget is None else budget

@@ -9,9 +9,8 @@ beta-elimination order.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import NotBetaAcyclicError
 
@@ -217,6 +216,39 @@ class EdgeOrder:
         return sorted(edges, key=self.key)
 
 
+def _search(incident: dict[int, list[frozenset[int]]], start: frozenset[int], admitted: Callable):
+    """Breadth-first search over edges from `start`: from each edge g it
+    steps through the vertices `admitted(g)` lists, in that order, to the
+    edges `incident` lists at each. Maps every edge reached to the (edge,
+    vertex) that first reached it, and `start` to None."""
+    parents: dict[frozenset[int], tuple[frozenset[int], int] | None] = {start: None}
+    queue = [start]
+    for g in queue:
+        for v in admitted(g):
+            for f in incident[v]:
+                if f not in parents:
+                    parents[f] = (g, v)
+                    queue.append(f)
+    return parents
+
+
+def _ordered_search(hypergraph: Hypergraph, order: EliminationOrder, edge: frozenset[int], cutoff: int):
+    """The edge order and `_search` from `edge` over the edges at most
+    `edge`, through vertices at most `cutoff`, the latest vertex first."""
+    if edge not in hypergraph.edges:
+        raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
+    if cutoff not in order.rank or cutoff not in hypergraph.vertices:
+        raise ValueError(f"vertex {cutoff} not in the hypergraph")
+    eo = EdgeOrder(hypergraph, order)
+    rank, bar, limit = order.rank, order.rank[cutoff], eo.key(edge)
+    incident = _incidence(f for f in hypergraph.edges if eo.key(f) <= limit)
+
+    def admitted(g):
+        return sorted((v for v in g if rank[v] <= bar), key=rank.__getitem__, reverse=True)
+
+    return eo, _search(incident, edge, admitted)
+
+
 def sub_hypergraph(
     hypergraph: Hypergraph,
     order: EliminationOrder,
@@ -228,26 +260,8 @@ def sub_hypergraph(
 
     Reached edges are returned whole, including vertices above the cutoff.
     """
-    e = frozenset(edge)
-    if e not in hypergraph.edges:
-        raise ValueError(f"edge {sorted(e)} not in the hypergraph")
-    if cutoff not in order.rank or cutoff not in hypergraph.vertices:
-        raise ValueError(f"vertex {cutoff} not in the hypergraph")
-    eo = EdgeOrder(hypergraph, order)
-    bar = order.rank[cutoff]
-    limit = eo.key(e)
-    incident = _incidence(f for f in hypergraph.edges if eo.key(f) <= limit)
-    reached = {e}
-    queue = deque([e])
-    while queue:
-        g = queue.popleft()
-        for v in g:
-            if order.rank[v] <= bar:
-                for f in incident[v]:
-                    if f not in reached:
-                        reached.add(f)
-                        queue.append(f)
-    return Hypergraph(reached)
+    _, parents = _ordered_search(hypergraph, order, frozenset(edge), cutoff)
+    return Hypergraph(parents)
 
 
 @dataclass(frozen=True)
@@ -296,35 +310,14 @@ def decreasing_path(
 
     A shortest qualifying path has this shape on beta-acyclic inputs.
     """
-    e = frozenset(edge)
+    eo, parents = _ordered_search(hypergraph, order, frozenset(edge), cutoff)
     f = frozenset(target)
-    reachable = sub_hypergraph(hypergraph, order, e, cutoff)
-    if f not in reachable.edges:
+    if f not in parents:
         raise ValueError(f"edge {sorted(f)} is not reachable under the cutoff")
-    if e == f:
-        return Walk((e,), ())
-    eo = EdgeOrder(hypergraph, order)
-    bar = order.rank[cutoff]
-    limit = eo.key(e)
-    # breadth-first search for a fewest-edges path; record the linking vertex
-    parents: dict[frozenset[int], tuple[frozenset[int], int]] = {}
-    queue = deque([e])
-    seen = {e}
-    while queue and f not in seen:
-        g = queue.popleft()
-        for v in sorted(g, key=lambda u: -order.rank[u]):
-            if order.rank[v] > bar:
-                continue
-            for h in hypergraph.edges:
-                if h in seen or v not in h or eo.key(h) > limit:
-                    continue
-                parents[h] = (g, v)
-                seen.add(h)
-                queue.append(h)
     edges = [f]
     vertices: list[int] = []
-    while edges[-1] != e:
-        g, v = parents[edges[-1]]
+    while (step := parents[edges[-1]]) is not None:
+        g, v = step
         vertices.append(v)
         edges.append(g)
     walk = Walk(tuple(reversed(edges)), tuple(reversed(vertices)))
@@ -334,25 +327,16 @@ def decreasing_path(
 
 
 def connected_components(hypergraph: Hypergraph) -> list[Hypergraph]:
-    """Partition of the edges by shared-vertex reachability."""
-    unvisited = set(hypergraph.edges)
+    """Partition of the edges by shared-vertex reachability, one search from
+    each edge no earlier search reached, in `sorted_edges` order."""
     incident = _incidence(hypergraph.edges)
+    reached: set[frozenset[int]] = set()
     components = []
     for start in hypergraph.sorted_edges():
-        if start not in unvisited:
-            continue
-        block = {start}
-        unvisited.remove(start)
-        queue = deque([start])
-        while queue:
-            g = queue.popleft()
-            for v in g:
-                for f in incident[v]:
-                    if f in unvisited:
-                        unvisited.remove(f)
-                        block.add(f)
-                        queue.append(f)
-        components.append(Hypergraph(block))
+        if start not in reached:
+            block = _search(incident, start, lambda g: g)
+            reached.update(block)
+            components.append(Hypergraph(block))
     return components
 
 

@@ -286,31 +286,26 @@ def min_rectangle_cover(
 
     left_patterns = sorted({a & left_mask for a in sat})
     right_patterns = sorted({a & right_mask for a in sat})
-    if len(left_patterns) > len(right_patterns):
-        left_patterns, right_patterns = right_patterns, left_patterns
-        left_mask, right_mask = right_mask, left_mask
-    # row bitmask per small-side pattern: which big-side patterns combine into sat
+    # row bitmask per left pattern: which right patterns combine into sat
     rows = {
         y: sum(1 << j for j, z in enumerate(right_patterns) if (y | z) in sat)
         for y in left_patterns
     }
-    rectangles: set[frozenset[int]] = set()
-    small = left_patterns
-    for pick in range(1, 1 << len(small)):
-        cols = (1 << len(right_patterns)) - 1
-        for i, y in enumerate(small):
-            if pick >> i & 1:
-                cols &= rows[y]
-        if not cols:
-            continue
-        closed = [y for y in small if rows[y] & cols == cols]
-        block = frozenset(
+    # a maximal rectangle's columns are the intersection of its rows; adding
+    # each row's meets with the sets so far, row by row, builds every one
+    column_sets = set(rows.values())
+    for row in rows.values():
+        column_sets |= {cols & row for cols in column_sets if cols & row}
+    rectangles = {
+        frozenset(
             y | right_patterns[j]
-            for y in closed
+            for y in left_patterns
+            if rows[y] & cols == cols
             for j in range(len(right_patterns))
             if cols >> j & 1
         )
-        rectangles.add(block)
+        for cols in column_sets
+    }
 
     candidates = sorted(rectangles, key=lambda r: (-len(r), sorted(r)))
 
@@ -367,8 +362,6 @@ def hat_preserves_beta(formula: CnfFormula) -> bool:
     fresh-variables-first order, and independently via the greedy test."""
     order = hat_order(formula)
     widened_graph = hypergraph_of(hat(formula))
-    if not formula.clauses:
-        return True
     return satisfies_beta_condition(widened_graph, order) and is_beta_acyclic(widened_graph)
 
 

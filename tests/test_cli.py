@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -260,6 +261,19 @@ class TestLabCommands:
         path.write_text("p cnf 2 1\n1 2 0\n")
         code, out, _ = run(capsys, "rectcover", str(path), "--left", "1")
         assert (code, out) == (0, "2\n")
+
+    def test_rectcover_answers_on_a_wide_clause(self, tmp_path):
+        """One 10-literal clause split 5/5 has 32 row patterns; trying every
+        subset of them would take hours, so a child process bounds the wait."""
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 10 1\n1 2 3 4 5 6 7 8 9 10 0\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from betadnnf.cli import main; sys.exit(main(sys.argv[1:]))",
+             "--cap-vars", "20", "rectcover", str(path), "--left", "1,2,3,4,5"],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stdout) == (0, "2\n")
 
     def test_rectcover_refuses_a_huge_header(self, capsys, tmp_path):
         path = tmp_path / "huge.cnf"

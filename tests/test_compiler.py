@@ -389,9 +389,16 @@ class TestCompile:
         circuit, _ = compile_cnf(CnfFormula([Clause([]), Clause([1])]))
         assert count_models(circuit, {1}) == 0
 
+    def test_compiler_refuses_the_empty_clause(self):
+        with pytest.raises(ValueError, match="empty clause"):
+            Compiler(CnfFormula([Clause([]), Clause([1])]))
+
     def test_empty_formula_compiles_to_true(self):
-        circuit, _ = compile_cnf(CnfFormula([]))
+        circuit, report = compile_cnf(CnfFormula([]))
         assert count_models(circuit, {1, 2}) == 4
+        assert write_nnf(circuit) == "nnf 1 0 0\nT\n"
+        assert (report.gates, report.and_fanin_max, report.clause_counts,
+                report.elimination_order, report.components, report.formula_size) == (1, 0, {}, (), 0, 0)
 
     def test_explicit_order_is_used(self, fstar):
         circuit, report = compile_cnf(fstar, ORDER)

@@ -18,7 +18,7 @@ from betadnnf import (
     write_nnf,
 )
 from betadnnf.circuit import AndGate, DecisionGate, FalseGate
-from betadnnf.dpll import OrderStrategy, search
+from betadnnf.dpll import DpllStats, OrderStrategy, search
 from betadnnf.errors import BudgetExceededError, NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 
@@ -45,6 +45,10 @@ class TestCount:
 
     def test_empty_formula(self):
         assert count_dpll(CnfFormula([]))[0] == 1
+        for strategy in STRATEGIES + [OrderStrategy.fixed(())]:
+            count, stats, circuit = search(CnfFormula([]), strategy, trace=True)
+            assert (count, write_nnf(circuit)) == (1, "nnf 1 0 0\nT\n")
+            assert stats == DpllStats(peak_residuals=1)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(77)

@@ -232,6 +232,27 @@ class TestDecreasingPath:
                         assert walk.is_decreasing(eo)
                         assert all(order.rank[v] <= order.rank[x] for v in walk.vertices)
 
+    def test_as_short_as_a_shortest_path(self):
+        """Steps between edges of R(e, x) go through vertices at most x;
+        the distance comes from a search over all pairs of edges."""
+        rng = random.Random(12)
+        for _ in range(60):
+            h = random_beta_acyclic_hypergraph(rng, max_vertices=9)
+            order = beta_elimination_order(h)
+            for e in h.edges:
+                for x in order.sequence:
+                    sub = list(sub_hypergraph(h, order, e, x).edges)
+                    below = {v for v in h.vertices if order.rank[v] <= order.rank[x]}
+                    length, queue = {e: 1}, [e]  # edges on a shortest path to each
+                    for f in queue:
+                        for g in sub:
+                            if g not in length and f & g & below:
+                                length[g] = length[f] + 1
+                                queue.append(g)
+                    assert set(length) == set(sub)
+                    for f in sub:
+                        assert len(decreasing_path(h, order, e, x, f).edges) == length[f]
+
 
 class TestComponents:
     def test_connected(self, fstar_hypergraph):
@@ -243,6 +264,16 @@ class TestComponents:
 
     def test_empty(self):
         assert connected_components(Hypergraph([])) == []
+
+    def test_parts_share_no_vertex_on_random_instances(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            h = random_beta_acyclic_hypergraph(rng, max_vertices=9)
+            parts = connected_components(h)
+            assert sum(len(p) for p in parts) == len(h)
+            assert frozenset().union(*(p.edges for p in parts)) == h.edges
+            for p, q in itertools.combinations(parts, 2):
+                assert p.vertices.isdisjoint(q.vertices)
 
 
 class TestStructuralProperties:
