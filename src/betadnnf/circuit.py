@@ -398,6 +398,8 @@ def prune_unreachable(circuit: NnfCircuit) -> NnfCircuit:
             continue
         needed.add(i)
         stack.extend(gate_children(circuit.gates[i]))
+    if len(needed) == circuit.size:  # children precede parents, so the output is last
+        return circuit
     keep = sorted(needed)
     new_index = {old: new for new, old in enumerate(keep)}
     gates: list[Gate] = []

@@ -9,12 +9,15 @@ of literals it falsifies, which is also its cache key, and the next literal
 names the stage that built it. A branch on x extends it to the set of
 literals it makes true, so it satisfies a clause D iff the set meets D. A
 stage gate is a decision on x whose branches are decomposable conjunctions
-of gates from earlier stages; the gate for the largest edge of each
-connected component at the last stage computes that component.
+of gates from earlier stages. Both branches lie in one reachable set and
+share its tops in the reachability forest, so one `compute_U` walk up
+serves both. The gate for the largest edge of each connected component at
+the last stage computes that component.
 """
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -84,13 +87,15 @@ class Compiler:
             for v in e:
                 self.edges_with[v].append(i)
         self.clauses: list[Clause] = formula.sorted_clauses()
-        rank = order.rank
-        # each clause's literals by descending rank: a restriction is a prefix
+        self.rank = rank = order.rank
+        # each clause's literals by descending rank: a restriction is a prefix,
+        # found by bisecting the negated ranks
         self.ranked = [tuple(sorted(c.literals, key=lambda l: -rank[abs(l)])) for c in self.clauses]
+        self.depth = [tuple(-rank[abs(l)] for l in ranked) for ranked in self.ranked]
+        self.clause_edges = [c.variables for c in self.clauses]
         self.clauses_by_edge: dict[frozenset[int], list[int]] = {}
         self.clause_counts = dict.fromkeys(order.sequence, 0)
-        for cid, clause in enumerate(self.clauses):
-            variables = clause.variables
+        for cid, variables in enumerate(self.clause_edges):
             self.clauses_by_edge.setdefault(variables, []).append(cid)
             for v in variables:
                 self.clause_counts[v] += 1
@@ -135,7 +140,7 @@ class Compiler:
             raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
         if not self.edges_with.get(cutoff):
             raise ValueError(f"vertex {cutoff} not in the hypergraph")
-        self._forest_at(self.order.rank[cutoff])
+        self._forest_at(self.rank[cutoff])
         subtree = [start]
         for g in subtree:
             subtree.extend(self._children[g])
@@ -144,19 +149,19 @@ class Compiler:
     def restriction_above(self, clause_id: int, cutoff: int) -> tuple[int, ...]:
         """The literals of the clause on variables after `cutoff`, by
         descending rank: those its falsifying assignment falsifies there."""
-        rank, ranked = self.order.rank, self.ranked[clause_id]
-        bar = rank[cutoff]
-        return ranked[:sum(rank[abs(l)] > bar for l in ranked)]
+        return self.ranked[clause_id][:bisect_left(self.depth[clause_id], -self.rank[cutoff])]
 
     def compute_U(
-        self, edge: Iterable[int], x: int, tau: frozenset[int]
-    ) -> list[tuple[frozenset[int], int]]:
-        """Decompose the sub-formula at (edge, x) restricted by `tau`, the
-        literals it makes true, into independent pieces rooted one stage
+        self, edge: Iterable[int], x: int, above: frozenset[int]
+    ) -> tuple[list[tuple[frozenset[int], int]], list[tuple[frozenset[int], int]]]:
+        """Decompose the sub-formula at (edge, x) under the two branches on
+        x, the restrictions `above | {x}` and `above | {-x}`, where `above`
+        is the literals made true on the edge's variables after x. For each
+        restriction tau it returns the independent pieces rooted one stage
         earlier: in edge order, the candidates (edges of R(edge, x) with a
-        clause that `tau` fails) in R(f, y) for no other candidate f, y being
-        the predecessor of x, each with the lowest-id clause that `tau` fails.
-        No pieces means `tau` satisfies every clause in scope.
+        clause that tau fails) in R(f, y) for no other candidate f, y being
+        the predecessor of x, each with the lowest-id clause that tau fails.
+        No pieces means tau satisfies every clause in scope.
 
         (a) For f < f', R(f, y) and R(f', y) are disjoint or nested: if they
         share an edge, R(f, y) is joined through edges below f' and so lies in
@@ -165,9 +170,10 @@ class Compiler:
         through it, so R(e, x) is the union over the g through x with g <= e of
         g's class among the edges at most e joined below y: the subtree of g's
         top, its highest ancestor at most e. Distinct tops are incomparable.
-        In a subtree, g lies in R(f, y) iff f is an ancestor of g, so a walk down
+        The tops do not depend on tau, so both branches share them. In a
+        subtree, g lies in R(f, y) iff f is an ancestor of g, so a walk down
         from the tops that stops at candidates and passes through edges whose
-        clauses `tau` all satisfies finds the pieces. Ancestor walks stop where
+        clauses tau all satisfies finds the pieces. Ancestor walks stop where
         an earlier one passed.
         """
         e = frozenset(edge)
@@ -176,38 +182,41 @@ class Compiler:
             raise ValueError(f"edge {sorted(e)} not in the hypergraph")
         if x not in e:
             raise ValueError(f"variable {x} does not occur in the clause")
-        rank = self.order.rank
+        rank = self.rank
         if rank[x] == 0:
             raise ValueError(f"variable {x} is first in the order and has no predecessor")
-        expected = frozenset(v for v in e if rank[v] >= rank[x])
-        if len(tau) != len(expected) or {abs(l) for l in tau} != expected:
+        expected = frozenset(v for v in e if rank[v] > rank[x])
+        if len(above) != len(expected) or {abs(l) for l in above} != expected:
             raise ValueError(
-                f"restriction must bind exactly {sorted(expected)}, got {sorted(tau, key=abs)}"
+                f"restriction must bind exactly {sorted(expected)}, got {sorted(above, key=abs)}"
             )
         self._forest_at(rank[x] - 1)
         parent, children = self._parent, self._children
-        stack, walked = [], set()  # the tops, then the walk down from them
+        tops, walked = [], set()
         for g in self.edges_with[x]:
             if g > top:
                 break
             while g not in walked:
                 walked.add(g)
                 if parent[g] > top:
-                    stack.append(g)
+                    tops.append(g)
                     break
                 g = parent[g]
         edges, clauses, clauses_by_edge = self.edges, self.clauses, self.clauses_by_edge
-        pieces: list[tuple[int, int]] = []
-        while stack:
-            g = stack.pop()
-            unsat = (c for c in clauses_by_edge[edges[g]] if tau.isdisjoint(clauses[c].literals))
-            cid = next(unsat, None)
-            if cid is None:
-                stack.extend(children[g])
-            else:
-                pieces.append((g, cid))
-        pieces.sort()
-        return [(edges[g], cid) for g, cid in pieces]
+        branches = []
+        for tau in (above | {x}, above | {-x}):
+            stack, pieces = list(tops), []
+            while stack:
+                g = stack.pop()
+                for cid in clauses_by_edge[edges[g]]:
+                    if tau.isdisjoint(clauses[cid].literals):
+                        pieces.append((g, cid))
+                        break
+                else:
+                    stack.extend(children[g])
+            pieces.sort()
+            branches.append([(edges[g], cid) for g, cid in pieces])
+        return branches[0], branches[1]
 
     def lookup(self, edge: frozenset[int], clause_id: int, cutoff: int) -> int:
         """Gate for the sub-formula at (edge, cutoff) under the clause's
@@ -233,7 +242,7 @@ class Compiler:
         first = self.order.sequence[0]
         tau = frozenset(-l for l in self.restriction_above(clause_id, first))
         literals = set()
-        for i in self.reachable_edges(self.clauses[clause_id].variables, first):
+        for i in self.reachable_edges(self.clause_edges[clause_id], first):
             for cid in self.clauses_by_edge[self.edges[i]]:
                 if tau.isdisjoint(self.clauses[cid].literals):
                     rest = [l for l in self.clauses[cid].literals if -l not in tau]
@@ -247,17 +256,16 @@ class Compiler:
         return self.builder.literal(literals.pop())
 
     def decision_step(self, clause_id: int, x: int) -> int:
-        """Emit the decision gate on x for the given clause; both branches
-        are conjunctions of gates cached at the predecessor stage, and an
-        empty conjunction is constant true."""
-        e = self.clauses[clause_id].variables
+        """Emit the decision gate on x for the given clause; both branches,
+        from one `compute_U` call, are conjunctions of gates cached at the
+        predecessor stage, and an empty conjunction is constant true."""
         above = frozenset(-l for l in self.restriction_above(clause_id, x))
         y = self.order.predecessor(x)
-        branches = {}
-        for b in (1, 0):
-            pieces = self.compute_U(e, x, above | {x if b else -x})
-            branches[b] = self.builder.and_(self.lookup(g, cid, y) for g, cid in pieces)
-        return self.builder.decision(x, branches[1], branches[0])
+        hi, lo = (
+            self.builder.and_(self.lookup(g, cid, y) for g, cid in pieces)
+            for pieces in self.compute_U(self.clause_edges[clause_id], x, above)
+        )
+        return self.builder.decision(x, hi, lo)
 
     def run(self) -> tuple[NnfCircuit, CompileReport]:
         start = time.perf_counter()

@@ -143,16 +143,24 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
     aside until a vertex sharing an edge with it is deleted, as no other
     deletion changes its residual edges. A nest point stays one when other
     vertices are deleted (A ⊆ B gives A - v ⊆ B - v), so taking the least
-    one first never blocks the others.
+    one first never blocks the others. A failed vertex keeps its
+    incomparable pair; while the pair stays incomparable it fails again
+    without its edges being re-read.
     """
     incident = _incidence(hypergraph.edges)
     residual = {e: set(e) for e in hypergraph.edges}
     heap = sorted(incident)  # a sorted list is a heap
     failed: set[int] = set()
+    pairs: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
     sequence: list[int] = []
     while heap:
         x = heapq.heappop(heap)
-        if _chain_break(incident[x], residual) is not None:
+        pair = pairs.get(x)
+        if pair is None or (residual[pair[0]] <= residual[pair[1]]
+                            or residual[pair[1]] <= residual[pair[0]]):
+            pair = _chain_break(incident[x], residual)
+        if pair is not None:
+            pairs[x] = pair
             failed.add(x)
             continue
         sequence.append(x)

@@ -33,6 +33,7 @@ from betadnnf.circuit import (
     evaluate,
     gate_children,
     is_satisfiable,
+    prune_unreachable,
     respects_vtree,
     truth_tables,
 )
@@ -458,3 +459,20 @@ class TestMemory:
             tracemalloc.stop()
         assert count == 2**width - 1
         assert peak < 12_000_000
+
+
+class TestPrune:
+    def test_reachable_circuits_are_returned_as_they_are(self, fstar):
+        rng = random.Random(5)
+        formulas = [fstar] + [random_beta_acyclic_cnf(rng) for _ in range(40)]
+        for formula in formulas:
+            compiled = compile_cnf(formula)[0]
+            traced = search(formula, OrderStrategy.reverse_beta_elimination(), trace=True)[2]
+            for circuit in (compiled, traced, read_nnf(write_nnf(traced))):
+                assert prune_unreachable(circuit) is circuit
+
+    def test_unreachable_gates_are_dropped(self):
+        circuit = NnfCircuit([LiteralGate(1), LiteralGate(-1), LiteralGate(2), AndGate((0, 2))], 3)
+        assert prune_unreachable(circuit) == NnfCircuit(
+            [LiteralGate(1), LiteralGate(2), AndGate((0, 1))], 2)
+        assert prune_unreachable(circuit.root_at(2)) == NnfCircuit([LiteralGate(2)], 0)

@@ -73,10 +73,12 @@ def forest_inputs():
 
 
 def compute_U(formula, order, edge, x, tau):
-    """Pieces of `Compiler.compute_U` with clause ids mapped to clauses."""
+    """Pieces of the branch of `Compiler.compute_U` that `tau` takes on x,
+    with clause ids mapped to clauses."""
     compiler = Compiler(formula, order)
-    pieces = compiler.compute_U(edge, x, tau)
-    return [(g, compiler.clauses[cid]) for g, cid in pieces]
+    lit = x if x in tau else -x
+    hi, lo = compiler.compute_U(edge, x, tau - {lit})
+    return [(g, compiler.clauses[cid]) for g, cid in (hi if lit == x else lo)]
 
 
 def pairwise_compute_U(compiler, edge, x, tau):
@@ -246,11 +248,34 @@ class TestComputeU:
                     if rank[x] == 0:
                         continue
                     above = frozenset(-l for l in compiler.restriction_above(cid, x))
+                    branches = compiler.compute_U(clause.variables, x, above)
                     for b in (0, 1):
                         tau = above | {x if b else -x}
-                        assert compiler.compute_U(clause.variables, x, tau) == (
+                        assert branches[1 - b] == (
                             pairwise_compute_U(compiler, clause.variables, x, tau)
                         ), (clause, x, tau)
+
+    def test_one_call_per_decision_step(self, fstar, monkeypatch):
+        """Both branches of a stage gate come from one walk."""
+        rng = random.Random(11)
+        formulas = [fstar] + [random_beta_acyclic_cnf(rng, max_vars=10, max_clauses=16)
+                              for _ in range(200)]
+        calls = []
+        decision_step, compute_U = Compiler.decision_step, Compiler.compute_U
+
+        def counted_step(self, clause_id, x):
+            calls.append(0)
+            return decision_step(self, clause_id, x)
+
+        def counted_U(self, *args):
+            calls[-1] += 1
+            return compute_U(self, *args)
+
+        monkeypatch.setattr(Compiler, "decision_step", counted_step)
+        monkeypatch.setattr(Compiler, "compute_U", counted_U)
+        for formula in formulas:
+            compile_cnf(formula)
+        assert len(calls) > 200 and set(calls) == {1}
 
 
 class TestRestrictionAbove:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from betadnnf import hypergraph as hypergraph_mod
 from betadnnf.hypergraph import (
     EdgeOrder,
     EliminationOrder,
@@ -144,6 +145,22 @@ class TestOrderEngine:
         h = Hypergraph(edges)
         assert beta_elimination_order(h).sequence == sequence
         assert beta_condition_violation(h, EliminationOrder(sequence)) is None
+
+    @pytest.mark.parametrize("leaves", [1000, 4000])
+    def test_star_reads_linearly_many_edges(self, leaves, monkeypatch):
+        """A failed centre re-reads its edges only when its kept pair has
+        become comparable, not after every leaf."""
+        read = []
+        chain_break = hypergraph_mod._chain_break
+
+        def counted(through, residual):
+            read.append(len(through))
+            return chain_break(through, residual)
+
+        monkeypatch.setattr(hypergraph_mod, "_chain_break", counted)
+        star = Hypergraph([{1, v} for v in range(2, leaves + 2)])
+        assert beta_elimination_order(star).sequence[-2] == 1
+        assert sum(read) <= 40 * leaves
 
     def test_star_violation(self):
         star = Hypergraph([{1, v} for v in range(2, 2002)])
