@@ -84,8 +84,8 @@ def cmd_check(args) -> int:
 
 def cmd_order(args) -> int:
     formula = _load_formula(args.formula)
-    for v in hg_mod.beta_elimination_order_or_refuse(cnf_mod.hypergraph_of(formula)).sequence:
-        print(v)
+    order = hg_mod.beta_elimination_order_or_refuse(cnf_mod.hypergraph_of(formula))
+    sys.stdout.write("".join(f"{v}\n" for v in order.sequence))
     return EXIT_OK
 
 

@@ -92,22 +92,22 @@ class Clause:
     """A non-tautological, duplicate-free set of literals."""
 
     literals: frozenset[Literal]
+    variables: frozenset[int] = field(compare=False, repr=False)
 
     def __init__(self, literals: Iterable[Literal]):
-        lits = frozenset(int(l) for l in literals)
+        lits = frozenset(map(int, literals))
         if 0 in lits:
             raise ValueError("0 is not a literal")
-        seen = set()
-        for lit in lits:
-            v = abs(lit)
-            if v in seen:
-                raise ValueError(f"tautological or duplicated variable {v} in clause")
-            seen.add(v)
+        variables = frozenset(map(abs, lits))
+        if len(variables) < len(lits):  # some v and -v: name the first met
+            seen = set()
+            for lit in lits:
+                v = abs(lit)
+                if v in seen:
+                    raise ValueError(f"tautological or duplicated variable {v} in clause")
+                seen.add(v)
         object.__setattr__(self, "literals", lits)
-
-    @property
-    def variables(self) -> frozenset[int]:
-        return frozenset(abs(l) for l in self.literals)
+        object.__setattr__(self, "variables", variables)
 
     def sorted_literals(self) -> tuple[Literal, ...]:
         return tuple(sorted(self.literals, key=abs))
@@ -147,7 +147,7 @@ class CnfFormula:
 
     @property
     def variables(self) -> frozenset[int]:
-        return frozenset(v for c in self.clauses for v in c.variables)
+        return frozenset().union(*(c.variables for c in self.clauses))
 
     @property
     def size(self) -> int:
@@ -155,7 +155,7 @@ class CnfFormula:
         return sum(len(c) for c in self.clauses)
 
     def has_empty_clause(self) -> bool:
-        return any(c.is_empty() for c in self.clauses)
+        return Clause(()) in self.clauses
 
     def sorted_clauses(self) -> list[Clause]:
         """Clauses in a canonical, deterministic order."""
@@ -257,28 +257,27 @@ def parse_dimacs(text: str | bytes, strict: bool = False) -> CnfFormula:
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
-        if len(raw.encode("ascii", errors="replace")) > MAX_DIMACS_LINE_BYTES:
+        if len(raw) > MAX_DIMACS_LINE_BYTES:  # one byte per character, as in ASCII
             raise DimacsParseError(f"line longer than {MAX_DIMACS_LINE_BYTES} bytes", lineno)
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("c"):
             continue
-        if stripped.startswith("p"):
+        if tokens[0].startswith("p"):
             if num_vars is not None:
                 raise DimacsParseError("duplicate header", lineno)
-            fields = stripped.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise DimacsParseError(f"bad header {stripped!r}", lineno)
+            if len(tokens) != 4 or tokens[1] != "cnf":
+                raise DimacsParseError(f"bad header {raw.strip()!r}", lineno)
             try:
-                num_vars = int(fields[2])
-                int(fields[3])
+                num_vars = int(tokens[2])
+                int(tokens[3])
             except ValueError:
-                raise DimacsParseError(f"bad header {stripped!r}", lineno) from None
+                raise DimacsParseError(f"bad header {raw.strip()!r}", lineno) from None
             if num_vars < 0:
                 raise DimacsParseError("negative variable count", lineno)
             continue
         if num_vars is None:
             raise DimacsParseError("clause data before the 'p cnf' header", lineno)
-        for token in stripped.split():
+        for token in tokens:
             try:
                 lit = int(token)
             except ValueError:
@@ -286,7 +285,7 @@ def parse_dimacs(text: str | bytes, strict: bool = False) -> CnfFormula:
             if lit == 0:
                 lits = set(pending)
                 pending.clear()
-                if any(-l in lits for l in lits):
+                if len(set(map(abs, lits))) < len(lits):  # some v and -v
                     if strict:
                         raise DimacsParseError("tautological clause", lineno)
                     warnings.warn(

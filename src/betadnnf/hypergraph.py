@@ -5,6 +5,10 @@ A hypergraph is a finite set of non-empty finite vertex sets. It is
 beta-acyclic when repeatedly deleting nest points (vertices whose incident
 edges form an inclusion chain) empties it; the deletion sequence is a
 beta-elimination order.
+
+The order engine and the edge searches handle edges by index: they list
+the edges once, map each vertex to the indices of its edges, and keep
+per-edge state (residuals, search parents) under those indices.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ class Hypergraph:
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
+        return frozenset().union(*self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -86,21 +90,28 @@ class NotBetaAcyclic:
     stuck_vertices: frozenset[int]
 
 
-def _incidence(edges: Iterable[frozenset[int]]) -> dict[int, list[frozenset[int]]]:
-    """The edges through each vertex, in the order given, in one pass."""
-    incident: dict[int, list[frozenset[int]]] = {}
-    for e in edges:
+def _incidence(edges: list[frozenset[int]]) -> dict[int, list[int]]:
+    """The indices in `edges` of the edges through each vertex, in
+    increasing order, in one pass."""
+    incident: dict[int, list[int]] = {}
+    for i, e in enumerate(edges):
         for v in e:
-            incident.setdefault(v, []).append(e)
+            incident.setdefault(v, []).append(i)
     return incident
 
 
-def _chain_break(through: list[frozenset[int]], residual: dict[frozenset[int], set[int]]):
-    """The nest-point test on the edges through one vertex, each read as
-    its residual (what deletions left of it): two with incomparable
-    residuals, or None when they form a chain. A lone edge is not read."""
+def _chain_break(through: list[int], residual: list[set[int]]):
+    """The nest-point test on the edges (indices) through one vertex, each
+    read as its residual (what deletions left of it): two with
+    incomparable residuals, smaller first, or None when they form a chain.
+    A lone edge is not read."""
     if len(through) < 2:
         return None
+    if len(through) == 2:  # the pair a stable sort by residual size gives
+        e, f = through
+        if len(residual[f]) < len(residual[e]):
+            e, f = f, e
+        return None if residual[e] <= residual[f] else (e, f)
     by_size = sorted(through, key=lambda e: len(residual[e]))
     for e, f in zip(by_size, by_size[1:]):
         if not residual[e] <= residual[f]:  # |f| >= |e|, so f ⊆ e would make e = f
@@ -116,13 +127,14 @@ def beta_condition_violation(
     The condition: for each prefix ending at vertex x, any two edges through
     x must be inclusion-comparable once the prefix is deleted.
     """
-    order.check_covers(hypergraph.vertices)
-    incident = _incidence(hypergraph.edges)
-    residual = {e: set(e) for e in hypergraph.edges}
+    edges = list(hypergraph.edges)
+    incident = _incidence(edges)
+    order.check_covers(incident)
+    residual = [set(e) for e in edges]
     for x in order.sequence:
-        through = incident.get(x, [])
+        through = incident.get(x, ())
         if pair := _chain_break(through, residual):
-            return x, *pair
+            return x, edges[pair[0]], edges[pair[1]]
         for e in through:
             residual[e].discard(x)
     return None
@@ -147,11 +159,12 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
     incomparable pair; while the pair stays incomparable it fails again
     without its edges being re-read.
     """
-    incident = _incidence(hypergraph.edges)
-    residual = {e: set(e) for e in hypergraph.edges}
+    edges = list(hypergraph.edges)
+    incident = _incidence(edges)
+    residual = [set(e) for e in edges]
     heap = sorted(incident)  # a sorted list is a heap
     failed: set[int] = set()
-    pairs: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+    pairs: dict[int, tuple[int, int]] = {}
     sequence: list[int] = []
     while heap:
         x = heapq.heappop(heap)
@@ -165,10 +178,12 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
             continue
         sequence.append(x)
         for e in incident[x]:
-            residual[e].discard(x)
-            for y in failed & residual[e]:  # iterates the smaller set
-                failed.remove(y)
-                heapq.heappush(heap, y)
+            left = residual[e]
+            left.discard(x)
+            if failed:
+                for y in failed & left:  # iterates the smaller set
+                    failed.remove(y)
+                    heapq.heappush(heap, y)
     if failed:
         return NotBetaAcyclic(frozenset(failed))
     order = EliminationOrder(sequence)
@@ -224,12 +239,12 @@ class EdgeOrder:
         return sorted(edges, key=self.key)
 
 
-def _search(incident: dict[int, list[frozenset[int]]], start: frozenset[int], admitted: Callable):
-    """Breadth-first search over edges from `start`: from each edge g it
-    steps through the vertices `admitted(g)` lists, in that order, to the
-    edges `incident` lists at each. Maps every edge reached to the (edge,
-    vertex) that first reached it, and `start` to None."""
-    parents: dict[frozenset[int], tuple[frozenset[int], int] | None] = {start: None}
+def _search(incident: dict[int, list[int]], start: int, admitted: Callable):
+    """Breadth-first search over edges, by index, from `start`: from each
+    edge g it steps through the vertices `admitted(g)` lists, in that
+    order, to the edges `incident` lists at each. Maps every edge reached
+    to the (edge, vertex) that first reached it, and `start` to None."""
+    parents: dict[int, tuple[int, int] | None] = {start: None}
     queue = [start]
     for g in queue:
         for v in admitted(g):
@@ -241,20 +256,23 @@ def _search(incident: dict[int, list[frozenset[int]]], start: frozenset[int], ad
 
 
 def _ordered_search(hypergraph: Hypergraph, order: EliminationOrder, edge: frozenset[int], cutoff: int):
-    """The edge order and `_search` from `edge` over the edges at most
-    `edge`, through vertices at most `cutoff`, the latest vertex first."""
+    """The edge order, and `_search` from `edge` over the edges at most
+    `edge`, through vertices at most `cutoff`, the latest vertex first,
+    as a map from each edge reached to its (edge, vertex) parent."""
     if edge not in hypergraph.edges:
         raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
     if cutoff not in order.rank or cutoff not in hypergraph.vertices:
         raise ValueError(f"vertex {cutoff} not in the hypergraph")
     eo = EdgeOrder(hypergraph, order)
     rank, bar, limit = order.rank, order.rank[cutoff], eo.key(edge)
-    incident = _incidence(f for f in hypergraph.edges if eo.key(f) <= limit)
+    edges = [f for f in hypergraph.edges if eo.key(f) <= limit]
 
     def admitted(g):
-        return sorted((v for v in g if rank[v] <= bar), key=rank.__getitem__, reverse=True)
+        return sorted((v for v in edges[g] if rank[v] <= bar), key=rank.__getitem__, reverse=True)
 
-    return eo, _search(incident, edge, admitted)
+    parents = _search(_incidence(edges), edges.index(edge), admitted)
+    return eo, {edges[f]: None if step is None else (edges[step[0]], step[1])
+              for f, step in parents.items()}
 
 
 def sub_hypergraph(
@@ -337,14 +355,15 @@ def decreasing_path(
 def connected_components(hypergraph: Hypergraph) -> list[Hypergraph]:
     """Partition of the edges by shared-vertex reachability, one search from
     each edge no earlier search reached, in `sorted_edges` order."""
-    incident = _incidence(hypergraph.edges)
-    reached: set[frozenset[int]] = set()
+    edges = hypergraph.sorted_edges()
+    incident = _incidence(edges)
+    reached: set[int] = set()
     components = []
-    for start in hypergraph.sorted_edges():
+    for start in range(len(edges)):
         if start not in reached:
-            block = _search(incident, start, lambda g: g)
+            block = _search(incident, start, edges.__getitem__)
             reached.update(block)
-            components.append(Hypergraph(block))
+            components.append(Hypergraph(edges[i] for i in block))
     return components
 
 

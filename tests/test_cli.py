@@ -111,6 +111,11 @@ class TestCheck:
         assert code == 0
         assert out.split() == ["1", "2", "3", "4", "5"]
 
+    def test_order_of_no_clauses_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "none.cnf"
+        path.write_text("p cnf 3 0\n")
+        assert run(capsys, "order", str(path)) == (0, "", "")
+
     def test_degenerate_empty_clause(self, capsys, tmp_path):
         path = tmp_path / "zero.cnf"
         path.write_text("p cnf 1 1\n0\n")
@@ -323,6 +328,13 @@ class TestCliContract:
         code, _, err = run(capsys, "count", str(path))
         assert code == 2
         assert "terminating 0" in err
+
+    def test_over_long_line_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "long.cnf"
+        path.write_text("p cnf 1 1\n1 0\nc " + "x" * 4095 + "\n")
+        code, out, err = run(capsys, "order", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: line longer than 4096 bytes\n"
 
     def test_malformed_circuit_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.nnf"

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from betadnnf import (
 )
 from betadnnf.errors import CapExceededError, DimacsParseError
 
+import dimacs_reference
 from conftest import FSTAR_DIMACS, FSTAR_EDGES
 
 
@@ -68,6 +70,39 @@ class TestParse:
     def test_roundtrip_is_identity(self, fstar):
         assert parse_dimacs(write_dimacs(fstar)) == fstar
         assert write_dimacs(fstar) == FSTAR_DIMACS
+
+    def test_line_cap_is_4096_bytes(self):
+        fill = "c " + "x" * 4092  # 4094 characters
+        f = parse_dimacs(f"p cnf 1 1\n{fill}  \n1 0\n")
+        assert clause_set(f) == {(1,)}
+        with pytest.raises(DimacsParseError, match="longer than 4096 bytes") as err:
+            parse_dimacs(f"p cnf 1 1\n{fill}   \n1 0\n")
+        assert err.value.line == 2
+
+    def test_non_ascii_character_counts_one_byte(self):
+        # 4096 characters, though 4097 bytes in UTF-8
+        f = parse_dimacs("p cnf 1 1\nc \u00e9" + "x" * 4093 + "\n1 0\n")
+        assert clause_set(f) == {(1,)}
+        with pytest.raises(DimacsParseError) as err:
+            parse_dimacs("p cnf 1 1\nc \u00e9" + "x" * 4094 + "\n1 0\n")
+        assert err.value.line == 2
+
+
+class TestClause:
+    def test_variables_built_once_and_not_compared(self):
+        c = Clause([3, -1])
+        assert c.variables == frozenset({1, 3}) and c.variables is c.variables
+        assert c == Clause([-1, 3]) and hash(c) == hash(Clause([-1, 3]))
+        assert repr(c) == "Clause([-1, 3])"
+
+    @pytest.mark.parametrize("lits, message", [
+        ([1, 0], "0 is not a literal"),
+        ([2, -2], "tautological or duplicated variable 2 in clause"),
+        (["x"], "invalid literal"),
+    ])
+    def test_rejects(self, lits, message):
+        with pytest.raises(ValueError, match=message):
+            Clause(lits)
 
 
 class TestRestrict:
@@ -223,3 +258,63 @@ def test_restriction_soundness(data, salt):
 def test_parse_serialize_roundtrip(data):
     _, formula = data
     assert parse_dimacs(write_dimacs(formula)) == formula
+
+
+SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", "\x0b", "\r"])
+TOKEN = st.one_of(
+    st.integers(min_value=-9, max_value=9).map(str),
+    st.sampled_from(["0", "00", "+2", "-0", "x", "1.5", "--1", "c", "c1", "p", "\u0663", "\u00e9"]),
+)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS-like text: good and bad headers, comments, blank lines,
+    clauses across lines or several to a line, bad tokens, tautologies
+    and lines at and past the length cap."""
+    header = st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.one_of(
+            st.builds("p cnf {} {}".format, st.integers(-1, 9), st.integers(0, 9)),
+            st.sampled_from(["p cnf 3", "p dnf 3 2", "p cnf x 2", "p cnf 3 y", "pcnf 3 2",
+                             "p cnf 3 2 1", "p  cnf 4 1"]),
+        ),
+        st.sampled_from(["", " ", "\xa0"]),
+    )
+    clause = st.builds(
+        lambda tokens, gaps, lead: lead + "".join(g + t for g, t in zip(gaps, tokens)),
+        st.lists(TOKEN, max_size=8), st.lists(SPACE, min_size=8, max_size=8),
+        st.sampled_from(["", " ", "\t"]),
+    )
+    comment = st.builds("{}c{}".format, st.sampled_from(["", "  "]), st.text(max_size=6))
+    long_line = st.builds(lambda lead, k, tail: lead + "x" * k + tail,
+                          st.sampled_from(["c ", "c \u00e9", "1 "]),
+                          st.sampled_from([4092, 4093, 4094, 4095]), st.sampled_from(["", " 0"]))
+    line = st.one_of(header, clause, comment, st.sampled_from(["", "   ", "\t"]), long_line)
+    first = draw(st.one_of(header, st.just("")))
+    lines = [first] + draw(st.lists(line, max_size=10))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, text, strict):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text, strict)
+        except ValueError as exc:  # DimacsParseError and UnicodeDecodeError are ValueErrors
+            result = (type(exc), str(exc), getattr(exc, "line", None))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@given(dimacs_texts(), st.booleans(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_parse_dimacs_matches_reference(text, strict, as_bytes):
+    if as_bytes:
+        text = text.encode("utf-8")
+
+    def current(text, strict):
+        f = parse_dimacs(text, strict)
+        return frozenset(c.literals for c in f.clauses), f.declared_variables
+
+    assert _outcome(current, text, strict) == _outcome(dimacs_reference.parse_dimacs, text, strict)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betadnnf import hypergraph as hypergraph_mod
 from betadnnf.hypergraph import (
@@ -21,6 +23,7 @@ from betadnnf.hypergraph import (
 )
 from betadnnf.generators import random_beta_acyclic_hypergraph
 
+import order_reference
 from conftest import FSTAR_EDGES, TRIANGLE, structural_property_failures
 
 E1, E2, E3, E4, E5 = (FSTAR_EDGES[k] for k in ("e1", "e2", "e3", "e4", "e5"))
@@ -162,10 +165,64 @@ class TestOrderEngine:
         assert beta_elimination_order(star).sequence[-2] == 1
         assert sum(read) <= 40 * leaves
 
+    def test_failed_reverification_raises(self, monkeypatch):
+        """The greedy re-verifies through the module's verifier, so a
+        verifier that reports a violation stops it returning."""
+        def violated(hypergraph, order):
+            return order.sequence[0], E1, E3
+
+        monkeypatch.setattr(hypergraph_mod, "beta_condition_violation", violated)
+        with pytest.raises(AssertionError, match="invalid order"):
+            hypergraph_mod.beta_elimination_order(Hypergraph(FSTAR_EDGES.values()))
+
     def test_star_violation(self):
         star = Hypergraph([{1, v} for v in range(2, 2002)])
         x, e, f = beta_condition_violation(star, EliminationOrder(range(1, 2002)))
         assert x == 1 and e != f and 1 in e & f
+
+
+@st.composite
+def hypergraphs(draw):
+    """Beta-acyclic ones from the generator, arbitrary ones, stars, nested
+    edges and single edges, over relabelled vertices."""
+    kind = draw(st.sampled_from(["generated", "arbitrary", "star", "nested", "one-edge"]))
+    if kind == "generated":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return random_beta_acyclic_hypergraph(rng, max_vertices=draw(st.integers(2, 12)))
+    if kind == "arbitrary":
+        edge = st.frozensets(st.integers(1, 10), min_size=1, max_size=5)
+        return Hypergraph(draw(st.lists(edge, max_size=12)))
+    n = draw(st.integers(1, 12))
+    label = draw(st.permutations(range(1, n + 1)))
+    if kind == "star":
+        edges = [{label[0], v} for v in label[1:]] or [{label[0]}]
+        extra = draw(st.lists(st.frozensets(st.sampled_from(label), min_size=1), max_size=2))
+        return Hypergraph(edges + extra)
+    if kind == "nested":
+        return Hypergraph(label[:k] for k in draw(st.sets(st.integers(1, n), min_size=1)))
+    return Hypergraph([label])
+
+
+class TestAgainstReference:
+    @given(hypergraphs(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_orders_and_violations_match(self, h, data):
+        got, want = beta_elimination_order(h), order_reference.beta_elimination_order(h)
+        assert type(got) is type(want)
+        if isinstance(want, NotBetaAcyclic):
+            assert got.stuck_vertices == want.stuck_vertices
+        else:
+            assert got.sequence == want.sequence
+        for _ in range(3):  # sometimes one short, which the verifier refuses
+            sequence = data.draw(st.permutations(sorted(h.vertices)))
+            order = EliminationOrder(sequence[data.draw(st.integers(0, 1)):])
+            verdicts = []
+            for verifier in (beta_condition_violation, order_reference.beta_condition_violation):
+                try:
+                    verdicts.append(verifier(h, order))
+                except ValueError as err:
+                    verdicts.append(str(err))
+            assert verdicts[0] == verdicts[1]
 
 
 class TestEdgeOrder:
@@ -317,3 +374,12 @@ class TestTextFormat:
     def test_empty(self):
         assert write_hypergraph(Hypergraph([])) == ""
         assert parse_hypergraph("") == Hypergraph([])
+
+    @given(st.text(alphabet=st.sampled_from("0123456789 -#\t\nx\u00e9\xa0\u0663"), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_raises_only_value_error(self, text):
+        try:
+            h = parse_hypergraph(text)
+        except ValueError:
+            return
+        assert all(h.edges)
