@@ -67,13 +67,15 @@ class Violation:
 
 class NnfCircuit:
     """Immutable gate list in topological order; the designated output gate
-    determines the computed function."""
+    determines the computed function. It keeps facts once computed: its variables
+    and variable masks, its two structural verdicts, and whether its output reaches every gate."""
 
-    __slots__ = ("gates", "output")
+    __slots__ = ("gates", "output", "_variables", "_masks", "_decomposable", "_decision", "_reachable")
 
     def __init__(self, gates: Iterable[Gate], output: int):
         self.gates = tuple(gates)
         self.output = output
+        self._variables = self._masks = self._decomposable = self._decision = self._reachable = None
         if not (0 <= output < len(self.gates)):
             raise ValueError(f"output index {output} out of range")
         for i, gate in enumerate(self.gates):
@@ -92,23 +94,25 @@ class NnfCircuit:
     @property
     def variables(self) -> frozenset[int]:
         """All variables labelling inputs anywhere in the circuit."""
-        out: set[int] = set()
-        for gate in self.gates:
-            if isinstance(gate, LiteralGate):
-                out.add(abs(gate.literal))
-            elif isinstance(gate, DecisionGate):
-                out.add(gate.variable)
-        return frozenset(out)
+        if self._variables is None:
+            out: set[int] = set()
+            for gate in self.gates:
+                if isinstance(gate, LiteralGate):
+                    out.add(abs(gate.literal))
+                elif isinstance(gate, DecisionGate):
+                    out.add(gate.variable)
+            self._variables = frozenset(out)
+        return self._variables
 
     @property
     def varsets(self) -> tuple[frozenset[int], ...]:
-        """The variables below each gate, decoded anew on every access."""
-        order, masks = _variable_masks(self)
+        """The variables below each gate, decoded from the kept masks on every access."""
+        order, masks = _kept_masks(self)
         return tuple(_decode(order, m) for m in masks)
 
     @property
     def output_variables(self) -> frozenset[int]:
-        order, masks = _variable_masks(self)
+        order, masks = _kept_masks(self)
         return _decode(order, masks[self.output])
 
     def root_at(self, gate_index: int) -> "NnfCircuit":
@@ -130,28 +134,27 @@ class NnfCircuit:
 
 
 class CircuitBuilder:
-    """Hash-consing constructor: structurally equal gates are emitted once."""
+    """Hash-consing constructor keyed by gate class and fields: equal gates are made once."""
 
     def __init__(self):
         self._gates: list[Gate] = []
-        self._index: dict[Gate, int] = {}
+        self._index: dict[tuple, int] = {}
 
-    def _add(self, gate: Gate) -> int:
-        found = self._index.get(gate)
-        if found is not None:
-            return found
-        self._gates.append(gate)
-        self._index[gate] = len(self._gates) - 1
-        return len(self._gates) - 1
+    def _add(self, *key) -> int:
+        found = self._index.get(key)
+        if found is None:
+            found = self._index[key] = len(self._gates)
+            self._gates.append(key[0](*key[1:]))
+        return found
 
     def literal(self, lit: int) -> int:
-        return self._add(LiteralGate(lit))
+        return self._add(LiteralGate, lit)
 
     def true(self) -> int:
-        return self._add(TrueGate())
+        return self._add(TrueGate)
 
     def false(self) -> int:
-        return self._add(FalseGate())
+        return self._add(FalseGate)
 
     def and_(self, children: Iterable[int]) -> int:
         kids = tuple(dict.fromkeys(children))
@@ -159,7 +162,7 @@ class CircuitBuilder:
             return self.true()
         if len(kids) == 1:
             return kids[0]
-        return self._add(AndGate(kids))
+        return self._add(AndGate, kids)
 
     def or_(self, children: Iterable[int]) -> int:
         kids = tuple(dict.fromkeys(children))
@@ -167,10 +170,10 @@ class CircuitBuilder:
             return self.false()
         if len(kids) == 1:
             return kids[0]
-        return self._add(OrGate(kids))
+        return self._add(OrGate, kids)
 
     def decision(self, variable: int, hi: int, lo: int) -> int:
-        return self._add(DecisionGate(variable, hi, lo))
+        return self._add(DecisionGate, variable, hi, lo)
 
     def gate(self, index: int) -> Gate:
         return self._gates[index]
@@ -202,11 +205,18 @@ def _variable_masks(circuit: NnfCircuit) -> tuple[list[int], list[int]]:
     return order, masks
 
 
+def _kept_masks(circuit: NnfCircuit) -> tuple[list[int], list[int]]:
+    if circuit._masks is None:  # computed on first use, then kept
+        circuit._masks = _variable_masks(circuit)
+    return circuit._masks
+
+
 def _decode(order: list[int], mask: int) -> frozenset[int]:
     return frozenset(order[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-def _decomposability_violation(circuit: NnfCircuit, order: list[int], masks: list[int]) -> Violation | None:
+def _decomposability_violation(circuit: NnfCircuit) -> Violation | None:
+    order, masks = _kept_masks(circuit)
     for i, gate in enumerate(circuit.gates):
         if isinstance(gate, AndGate):
             union = 0
@@ -227,10 +237,13 @@ def check_decomposable(circuit: NnfCircuit) -> tuple[bool, Violation | None]:
     """Every conjunction must have pairwise variable-disjoint inputs.
 
     Decision gates are checked through their implicit guard conjunctions:
-    the decision variable may not reappear in either branch.
+    the decision variable may not reappear in either branch. The circuit
+    keeps the verdict.
     """
-    violation = _decomposability_violation(circuit, *_variable_masks(circuit))
-    return violation is None, violation
+    if circuit._decomposable is None:
+        violation = _decomposability_violation(circuit)
+        circuit._decomposable = violation is None, violation
+    return circuit._decomposable
 
 
 def decision_parts(circuit: NnfCircuit, gate_index: int) -> tuple[int, int, int] | None:
@@ -266,11 +279,15 @@ def decision_parts(circuit: NnfCircuit, gate_index: int) -> tuple[int, int, int]
 
 
 def check_decision(circuit: NnfCircuit) -> tuple[bool, Violation | None]:
-    """Every or-gate must be a decision gate."""
-    for i, gate in enumerate(circuit.gates):
-        if isinstance(gate, OrGate) and decision_parts(circuit, i) is None:
-            return False, Violation(i, "or-gate is not a decision gate")
-    return True, None
+    """Every or-gate must be a decision gate. The circuit keeps the verdict."""
+    if circuit._decision is None:
+        verdict = True, None
+        for i, gate in enumerate(circuit.gates):
+            if isinstance(gate, OrGate) and decision_parts(circuit, i) is None:
+                verdict = False, Violation(i, "or-gate is not a decision gate")
+                break
+        circuit._decision = verdict
+    return circuit._decision
 
 
 def truth_tables(circuit: NnfCircuit, variables: Iterable[int]) -> list[int]:
@@ -390,6 +407,9 @@ def condition(circuit: NnfCircuit, tau: cnf_mod.Assignment) -> NnfCircuit:
 
 
 def prune_unreachable(circuit: NnfCircuit) -> NnfCircuit:
+    """The gates the output reaches; the result is marked, so pruning it again is free."""
+    if circuit._reachable:
+        return circuit
     needed = set()
     stack = [circuit.output]
     while stack:
@@ -398,22 +418,23 @@ def prune_unreachable(circuit: NnfCircuit) -> NnfCircuit:
             continue
         needed.add(i)
         stack.extend(gate_children(circuit.gates[i]))
-    if len(needed) == circuit.size:  # children precede parents, so the output is last
-        return circuit
-    keep = sorted(needed)
-    new_index = {old: new for new, old in enumerate(keep)}
-    gates: list[Gate] = []
-    for old in keep:
-        gate = circuit.gates[old]
-        if isinstance(gate, AndGate):
-            gates.append(AndGate(tuple(new_index[c] for c in gate.children)))
-        elif isinstance(gate, OrGate):
-            gates.append(OrGate(tuple(new_index[c] for c in gate.children)))
-        elif isinstance(gate, DecisionGate):
-            gates.append(DecisionGate(gate.variable, new_index[gate.hi], new_index[gate.lo]))
-        else:
-            gates.append(gate)
-    return NnfCircuit(gates, new_index[circuit.output])
+    if len(needed) < circuit.size:  # children precede parents, so the output is last
+        keep = sorted(needed)
+        new_index = {old: new for new, old in enumerate(keep)}
+        gates: list[Gate] = []
+        for old in keep:
+            gate = circuit.gates[old]
+            if isinstance(gate, AndGate):
+                gates.append(AndGate(tuple(new_index[c] for c in gate.children)))
+            elif isinstance(gate, OrGate):
+                gates.append(OrGate(tuple(new_index[c] for c in gate.children)))
+            elif isinstance(gate, DecisionGate):
+                gates.append(DecisionGate(gate.variable, new_index[gate.hi], new_index[gate.lo]))
+            else:
+                gates.append(gate)
+        circuit = NnfCircuit(gates, new_index[circuit.output])
+    circuit._reachable = True
+    return circuit
 
 
 def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
@@ -426,12 +447,12 @@ def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
     circuit output.
     """
     target = frozenset(variables)
-    order, masks = _variable_masks(circuit)
+    order, masks = _kept_masks(circuit)
     extra = [v for v in order if v not in target]
     if extra:
         raise ValueError(f"circuit variables {extra} outside the counting set")
-    violation = _decomposability_violation(circuit, order, masks)
-    if violation is not None:
+    ok, violation = check_decomposable(circuit)
+    if not ok:
         raise CircuitPropertyError(f"not decomposable: gate {violation.gate}, {violation.reason}")
     ok, violation = check_decision(circuit)
     if not ok:
@@ -573,7 +594,7 @@ def respects_vtree(circuit: NnfCircuit, vtree: Vtree) -> tuple[bool, Violation |
     """Every conjunction (explicit or a decision guard) must be binary and
     split its input variables along some vtree node. Variable sets are
     bitsets over the circuit's variables, and so are the vtree's splits."""
-    order, masks = _variable_masks(circuit)
+    order, masks = _kept_masks(circuit)
     missing = sorted(set(order) - vtree.leaf_set)
     if missing:
         raise ValueError(f"circuit variables {missing} missing from the vtree")

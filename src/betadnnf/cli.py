@@ -32,6 +32,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+# DPLL steps in (exponential-time) lex order without `--budget`; reverse-beta is unbudgeted
+LEX_BUDGET = 50_000
 
 
 def _read_text(path: str) -> str:
@@ -121,8 +123,8 @@ def cmd_count(args) -> int:
             count, _ = dpll_mod.count_dpll(
                 formula, dpll_mod.OrderStrategy.reverse_beta_elimination(), budget=args.budget)
         except NotBetaAcyclicError:
-            count, _ = dpll_mod.count_dpll(
-                formula, dpll_mod.OrderStrategy.lexicographic(), budget=args.budget)
+            budget = LEX_BUDGET if args.budget is None else args.budget
+            count, _ = dpll_mod.count_dpll(formula, dpll_mod.OrderStrategy.lexicographic(), budget)
         n = count << free
     print(n)
     return EXIT_OK
@@ -150,11 +152,11 @@ def cmd_verify(args) -> int:
 def cmd_dpll(args) -> int:
     formula = _load_formula(args.formula)
     if args.strategy == "reverse-beta":
-        strategy = dpll_mod.OrderStrategy.reverse_beta_elimination()
+        strategy, budget = dpll_mod.OrderStrategy.reverse_beta_elimination(), args.budget
     else:
         strategy = dpll_mod.OrderStrategy.lexicographic()
-    count, stats, trace = dpll_mod.search(formula, strategy, budget=args.budget,
-                                          trace=bool(args.trace))
+        budget = LEX_BUDGET if args.budget is None else args.budget
+    count, stats, trace = dpll_mod.search(formula, strategy, budget=budget, trace=bool(args.trace))
     if args.trace:
         circuit_mod.write_nnf_file(trace, args.trace)
     print(count)
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap-vars", type=int, default=20, metavar="N",
                         help="enumeration cap for semantic checks (default 20)")
     parser.add_argument("--budget", type=int, default=None, metavar="STEPS",
-                        help="abort DPLL search after this many steps")
+                        help=f"abort DPLL search after this many steps (lex order: {LEX_BUDGET})")
     parser.add_argument("--seed", type=int, default=0, metavar="S",
                         help="seed for generated families")
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
@@ -296,7 +298,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceededError, BudgetExceededError) as exc:
+    except BudgetExceededError as exc:
+        default = " (the lex-order default; --budget sets another)" if args.budget is None else ""
+        print(f"refused: {exc}{default}", file=sys.stderr)
+        return EXIT_REFUSED
+    except CapExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (RecursionError, MemoryError) as exc:

@@ -11,7 +11,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError, DimacsParseError
-from .hypergraph import Hypergraph
+from .hypergraph import EliminationOrder, Hypergraph, _order_or_refuse, beta_elimination_order
 
 Literal = int
 
@@ -159,7 +159,16 @@ class CnfFormula:
 
     def sorted_clauses(self) -> list[Clause]:
         """Clauses in a canonical, deterministic order."""
-        return sorted(self.clauses, key=lambda c: tuple((abs(l), l < 0) for l in c.sorted_literals()))
+        return sorted(self.clauses, key=lambda c: tuple(sorted(2 * abs(l) + (l < 0) for l in c.literals)))
+
+    def _elimination_order(self) -> tuple[Hypergraph, EliminationOrder]:
+        """The hypergraph and greedy order, kept; NotBetaAcyclicError on each call if stuck."""
+        found = self.__dict__.get("_order")
+        if found is None:
+            hypergraph = hypergraph_of(self)
+            found = hypergraph, beta_elimination_order(hypergraph)
+            object.__setattr__(self, "_order", found)
+        return found[0], _order_or_refuse(found[1])
 
     def restrict(self, tau: Assignment) -> "CnfFormula":
         """The residual formula after plugging in `tau`.

@@ -23,16 +23,12 @@ from typing import Iterable, NamedTuple
 
 from .circuit import AndGate, CircuitBuilder, NnfCircuit, prune_unreachable
 from .cnf import Clause, CnfFormula, hypergraph_of
-from .hypergraph import (
-    EdgeOrder,
-    EliminationOrder,
-    beta_condition_violation,
-    beta_elimination_order_or_refuse,
-)
+from .hypergraph import EdgeOrder, EliminationOrder, beta_condition_violation
 
 
 class SubFormulaKey(NamedTuple):
-    """Identifies a cached gate; equal keys denote equal residual functions."""
+    """Identifies a cached gate; equal keys denote equal residual functions. A plain
+    tuple of the fields is equal and hashes equal, so lookups probe with one."""
 
     edge_index: int
     restriction: tuple[int, ...]  # the literals falsified above cutoff, by descending rank
@@ -66,10 +62,10 @@ class Compiler:
 
     def __init__(self, formula: CnfFormula, order: EliminationOrder | None = None):
         self.formula = formula
-        self.hypergraph = hypergraph_of(formula)
         if order is None:
-            order = beta_elimination_order_or_refuse(self.hypergraph)
+            self.hypergraph, order = formula._elimination_order()
         else:
+            self.hypergraph = hypergraph_of(formula)
             violation = beta_condition_violation(self.hypergraph, order)
             if violation is not None:
                 x, e, f = violation
@@ -81,24 +77,27 @@ class Compiler:
         self.edge_order = EdgeOrder(self.hypergraph, order)
         # edges in edge order; an edge is named by its position in this list
         self.edges: list[frozenset[int]] = self.edge_order.sort(self.hypergraph.edges)
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.edges_with: dict[int, list[int]] = {x: [] for x in order.sequence}
-        for i, e in enumerate(self.edges):
-            for v in e:
-                self.edges_with[v].append(i)
+        self.edge_index = edge_index = {e: i for i, e in enumerate(self.edges)}
         self.clauses: list[Clause] = formula.sorted_clauses()
         self.rank = rank = order.rank
-        # each clause's literals by descending rank: a restriction is a prefix,
-        # found by bisecting the negated ranks
-        self.ranked = [tuple(sorted(c.literals, key=lambda l: -rank[abs(l)])) for c in self.clauses]
-        self.depth = [tuple(-rank[abs(l)] for l in ranked) for ranked in self.ranked]
-        self.clause_edges = [c.variables for c in self.clauses]
-        self.clauses_by_edge: dict[frozenset[int], list[int]] = {}
-        self.clause_counts = dict.fromkeys(order.sequence, 0)
-        for cid, variables in enumerate(self.clause_edges):
-            self.clauses_by_edge.setdefault(variables, []).append(cid)
-            for v in variables:
-                self.clause_counts[v] += 1
+        # per edge: its variables by descending rank, their negated ranks and its (clause id,
+        # literal set) pairs; a restriction, a prefix of a clause's literals so ranked, is
+        # found by bisecting its edge's negated ranks
+        self.edge_ranked = [tuple(sorted(e, key=rank.__getitem__, reverse=True)) for e in self.edges]
+        self.edge_clauses: list[list[tuple[int, frozenset[int]]]] = [[] for _ in self.edges]
+        edge_depth = [tuple([-rank[v] for v in ranked]) for ranked in self.edge_ranked]
+        self.ranked, self.depth = [], []
+        for cid, c in enumerate(self.clauses):
+            j, literals = edge_index[c.variables], c.literals
+            self.edge_clauses[j].append((cid, literals))
+            self.ranked.append(tuple([v if v in literals else -v for v in self.edge_ranked[j]]))
+            self.depth.append(edge_depth[j])
+        self.edges_with: dict[int, list[int]] = {x: [] for x in order.sequence}
+        self.clause_counts = counts = dict.fromkeys(order.sequence, 0)
+        for j, e in enumerate(self.edges):
+            for v in e:
+                self.edges_with[v].append(j)
+                counts[v] += len(self.edge_clauses[j])
         self.builder = CircuitBuilder()
         self.cache: dict[SubFormulaKey, int] = {}
         self._cutoff = len(order)  # past every rank: the first query builds the forest
@@ -185,8 +184,9 @@ class Compiler:
         rank = self.rank
         if rank[x] == 0:
             raise ValueError(f"variable {x} is first in the order and has no predecessor")
-        expected = frozenset(v for v in e if rank[v] > rank[x])
-        if len(above) != len(expected) or {abs(l) for l in above} != expected:
+        ranked = self.edge_ranked[top]
+        expected = ranked[:ranked.index(x)]  # the edge's variables after x
+        if len(above) != len(expected) or not all(v in above or -v in above for v in expected):
             raise ValueError(
                 f"restriction must bind exactly {sorted(expected)}, got {sorted(above, key=abs)}"
             )
@@ -202,14 +202,14 @@ class Compiler:
                     tops.append(g)
                     break
                 g = parent[g]
-        edges, clauses, clauses_by_edge = self.edges, self.clauses, self.clauses_by_edge
+        edges, edge_clauses = self.edges, self.edge_clauses
         branches = []
         for tau in (above | {x}, above | {-x}):
             stack, pieces = list(tops), []
             while stack:
                 g = stack.pop()
-                for cid in clauses_by_edge[edges[g]]:
-                    if tau.isdisjoint(clauses[cid].literals):
+                for cid, literals in edge_clauses[g]:
+                    if tau.isdisjoint(literals):
                         pieces.append((g, cid))
                         break
                 else:
@@ -230,10 +230,10 @@ class Compiler:
         ranked = self.ranked[clause_id]
         if len(tau) == len(ranked):
             return self.builder.false()
-        key = SubFormulaKey(self.edge_index[edge], tau, abs(ranked[len(tau)]))
+        key = (self.edge_index[edge], tau, abs(ranked[len(tau)]))
         gate = self.cache.get(key)
         if gate is None:
-            raise AssertionError(f"uncomputed sub-circuit requested: {key}")
+            raise AssertionError(f"uncomputed sub-circuit requested: {SubFormulaKey(*key)}")
         return gate
 
     def _base_gate(self, clause_id: int) -> int:
@@ -242,10 +242,10 @@ class Compiler:
         first = self.order.sequence[0]
         tau = frozenset(-l for l in self.restriction_above(clause_id, first))
         literals = set()
-        for i in self.reachable_edges(self.clause_edges[clause_id], first):
-            for cid in self.clauses_by_edge[self.edges[i]]:
-                if tau.isdisjoint(self.clauses[cid].literals):
-                    rest = [l for l in self.clauses[cid].literals if -l not in tau]
+        for i in self.reachable_edges(self.clauses[clause_id].variables, first):
+            for _, clause_literals in self.edge_clauses[i]:
+                if tau.isdisjoint(clause_literals):
+                    rest = [l for l in clause_literals if -l not in tau]
                     if len(rest) != 1 or abs(rest[0]) != first:
                         raise AssertionError("first-stage residual is not a unit over the first variable")
                     literals.add(rest[0])
@@ -263,23 +263,27 @@ class Compiler:
         y = self.order.predecessor(x)
         hi, lo = (
             self.builder.and_(self.lookup(g, cid, y) for g, cid in pieces)
-            for pieces in self.compute_U(self.clause_edges[clause_id], x, above)
+            for pieces in self.compute_U(self.clauses[clause_id].variables, x, above)
         )
         return self.builder.decision(x, hi, lo)
 
     def run(self) -> tuple[NnfCircuit, CompileReport]:
         start = time.perf_counter()
+        cache, ranked = self.cache, self.ranked
+        # stages run by ascending rank: an edge's t-th is t-th from the end of its ranked list
+        unstaged = [len(e) for e in self.edges]
         cumulative = 0
         for i, x in enumerate(self.order.sequence):
             cumulative += self.clause_counts[x]
             for j in self.edges_with[x]:
-                e = self.edges[j]
-                for cid in self.clauses_by_edge[e]:
-                    key = SubFormulaKey(j, self.restriction_above(cid, x), x)
-                    if key in self.cache:
+                unstaged[j] -= 1
+                k = unstaged[j]  # the clauses' restrictions above x have k literals
+                for cid, _ in self.edge_clauses[j]:
+                    restriction = ranked[cid][:k]
+                    if (j, restriction, x) in cache:
                         continue
                     gate = self._base_gate(cid) if i == 0 else self.decision_step(cid, x)
-                    self.cache[key] = gate
+                    cache[SubFormulaKey(j, restriction, x)] = gate
             if len(self.builder) > 7 * cumulative:
                 raise AssertionError("gate ledger exceeded: more than 7 gates per incidence")
         # the last forest's roots are the components' largest edges, taken by
@@ -290,8 +294,8 @@ class Compiler:
         least = list(range(m + 1))
         for g, up in enumerate(self._parent):
             least[up] = min(least[up], least[g])
-        tops = [self.edges[g] for g in sorted(range(m), key=least.__getitem__) if self._parent[g] == m]
-        output = self.builder.and_(self.lookup(t, min(self.clauses_by_edge[t]), last) for t in tops)
+        tops = [g for g in sorted(range(m), key=least.__getitem__) if self._parent[g] == m]
+        output = self.builder.and_(self.lookup(self.edges[g], self.edge_clauses[g][0][0], last) for g in tops)
         self.full_circuit = self.builder.build(output)
         circuit = prune_unreachable(self.full_circuit)
         bound = 7 * self.formula.size + max(1, len(tops)) + 3

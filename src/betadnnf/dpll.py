@@ -41,8 +41,6 @@ from operator import neg
 from .circuit import CircuitBuilder, NnfCircuit
 from .cnf import CnfFormula
 from .errors import BudgetExceededError
-from .hypergraph import beta_elimination_order_or_refuse
-from . import cnf as cnf_mod
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,8 @@ class OrderStrategy:
             if missing:
                 raise ValueError(f"fixed order misses variables {sorted(missing)}")
             return self.sequence
-        if self.kind == "reverse-beta":
-            order = beta_elimination_order_or_refuse(cnf_mod.hypergraph_of(formula))
-            return tuple(reversed(order.sequence))
+        if self.kind == "reverse-beta":  # the formula keeps its order
+            return tuple(reversed(formula._elimination_order()[1].sequence))
         raise ValueError(f"unknown strategy {self.kind!r}")
 
 

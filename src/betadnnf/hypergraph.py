@@ -194,7 +194,10 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
 
 def beta_elimination_order_or_refuse(hypergraph: Hypergraph) -> EliminationOrder:
     """The greedy order, or NotBetaAcyclicError naming the stuck vertices."""
-    found = beta_elimination_order(hypergraph)
+    return _order_or_refuse(beta_elimination_order(hypergraph))
+
+
+def _order_or_refuse(found: EliminationOrder | NotBetaAcyclic) -> EliminationOrder:
     if isinstance(found, NotBetaAcyclic):
         raise NotBetaAcyclicError(
             f"no nest point among vertices {sorted(found.stuck_vertices)}",

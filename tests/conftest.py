@@ -31,7 +31,9 @@ FSTAR_EDGES = {
 
 @pytest.fixture(scope="session")
 def fstar() -> CnfFormula:
-    """Monotone five-clause formula over variables 1..5."""
+    """Monotone five-clause formula over variables 1..5. It is shared by
+    the session and keeps its elimination order once computed, so a test
+    that patches or counts the order engine parses its own formula."""
     return parse_dimacs(FSTAR_DIMACS)
 
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import itertools
+import os
 import random
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from betadnnf import (
     Assignment,
@@ -14,11 +20,13 @@ from betadnnf import (
     compile_cnf,
     count_models,
     equivalent_to_formula,
+    parse_dimacs,
     read_nnf,
     trace_to_circuit,
     write_nnf,
 )
 from betadnnf import circuit as circuit_mod
+from betadnnf.cli import main
 from betadnnf.circuit import (
     AndGate,
     CircuitBuilder,
@@ -40,6 +48,11 @@ from betadnnf.circuit import (
 from betadnnf.errors import CapExceededError, CircuitPropertyError, NnfParseError
 from betadnnf.dpll import OrderStrategy, search
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
+
+import builder_reference
+from conftest import FSTAR_DIMACS
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def simple_decision() -> NnfCircuit:
@@ -476,3 +489,205 @@ class TestPrune:
         assert prune_unreachable(circuit) == NnfCircuit(
             [LiteralGate(1), LiteralGate(2), AndGate((0, 1))], 2)
         assert prune_unreachable(circuit.root_at(2)) == NnfCircuit([LiteralGate(2)], 0)
+
+
+class TestKeptFacts:
+    """A circuit keeps its variable masks and structural verdicts, so the
+    counter and the checks derive each once between them, and a pruned
+    circuit is not walked again."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls, original = [], getattr(circuit_mod, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(circuit_mod, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("count_first", [True, False])
+    def test_count_and_checks_share_masks_and_verdicts(self, monkeypatch, count_first):
+        masks = self.counted(monkeypatch, "_variable_masks")
+        scans = self.counted(monkeypatch, "_decomposability_violation")
+        formula = parse_dimacs(FSTAR_DIMACS)
+        circuit, _ = compile_cnf(formula)
+        checks = lambda: (check_decomposable(circuit), check_decision(circuit))
+        if not count_first:
+            assert checks() == ((True, None), (True, None))
+        assert count_models(circuit, formula.variables) == 13
+        assert checks() == ((True, None), (True, None))
+        assert count_models(circuit, formula.variables) == 13
+        assert is_satisfiable(circuit)[0]
+        assert len(masks) == 1 and len(scans) == 1
+
+    def test_failed_decomposability_still_refuses_the_count(self):
+        b = CircuitBuilder()
+        top = b.and_([b.literal(1), b.literal(-1)])
+        circuit = b.build(top)
+        verdict = (False, Violation(top, "and-gate children share variable 1"))
+        assert check_decomposable(circuit) == verdict
+        for _ in range(2):
+            with pytest.raises(CircuitPropertyError, match=f"not decomposable: gate {top}"):
+                count_models(circuit, {1})
+        assert check_decomposable(circuit) == verdict
+        with pytest.raises(CircuitPropertyError):
+            is_satisfiable(circuit)
+
+    def test_failed_decision_check_still_refuses_the_count(self):
+        b = CircuitBuilder()
+        top = b.or_([b.literal(1), b.literal(2)])
+        circuit = b.build(top)
+        verdict = (False, Violation(top, "or-gate is not a decision gate"))
+        assert check_decision(circuit) == verdict
+        for _ in range(2):
+            with pytest.raises(CircuitPropertyError, match=f"not a decision circuit: gate {top}"):
+                count_models(circuit, {1, 2})
+        assert check_decision(circuit) == verdict
+
+    def test_write_does_not_walk_a_compiled_circuit_again(self, monkeypatch):
+        rng = random.Random(23)
+        formulas = [parse_dimacs(FSTAR_DIMACS)] + [random_beta_acyclic_cnf(rng) for _ in range(20)]
+        compiled = [compile_cnf(formula)[0] for formula in formulas]
+        # an equal circuit that nothing has marked is walked as before
+        expected = [write_nnf(NnfCircuit(c.gates, c.output)) for c in compiled]
+        with open(os.path.join(GOLDEN, "fstar.nnf")) as handle:
+            assert expected[0] == handle.read()
+        reads = self.counted(monkeypatch, "gate_children")
+        for circuit, text in zip(compiled, expected):
+            reads.clear()
+            assert write_nnf(circuit) == text
+            assert len(reads) == circuit.size  # the child-edge count, and no walk
+
+    def test_pruning_marks_its_result(self, monkeypatch):
+        circuit = NnfCircuit([LiteralGate(1), LiteralGate(-1), LiteralGate(2), AndGate((0, 2))], 3)
+        pruned = prune_unreachable(circuit)
+        reads = self.counted(monkeypatch, "gate_children")
+        assert prune_unreachable(pruned) is pruned and not reads
+        assert write_nnf(pruned) == write_nnf(circuit)
+
+
+# A builder call: (method, argument). Children, branches and the integers of
+# "and_decision" are positions in the list of ids returned so far.
+BUILDER_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("literal"), st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v)))),
+    st.tuples(st.sampled_from(("true", "false")), st.none()),
+    st.tuples(st.sampled_from(("and_", "or_", "and_or")), st.lists(st.integers(0, 40), max_size=5)),
+    st.tuples(st.just("decision"), st.tuples(st.integers(1, 6), st.integers(0, 40), st.integers(0, 40))),
+    st.tuples(st.just("and_decision"), st.tuples(*[st.integers(0, 40)] * 3)),
+), max_size=40)
+
+
+def drive(builder, calls) -> list[int]:
+    """Run the calls on the builder, starting from one literal; returns every
+    id the builder gave."""
+    ids = [builder.literal(1)]
+    for method, arg in calls:
+        pick = lambda positions: [ids[p % len(ids)] for p in positions]
+        if method == "literal":
+            ids.append(builder.literal(arg))
+        elif method in ("true", "false"):
+            ids.append(getattr(builder, method)())
+        elif method in ("and_", "or_"):
+            ids.append(getattr(builder, method)(pick(arg)))
+        elif method == "and_or":  # an and-gate and an or-gate over the same children
+            ids += [builder.and_(pick(arg)), builder.or_(pick(arg))]
+        elif method == "decision":
+            ids.append(builder.decision(arg[0], *pick(arg[1:])))
+        else:  # a three-child and-gate, and a decision on the same three integers
+            x, hi, lo = pick(arg)
+            ids += [builder.and_([x, hi, lo]), builder.decision(max(x, 1), hi, lo)]
+    return ids
+
+
+class TestBuilderAgainstReference:
+    """The tuple-keyed builder against the builder that keyed gate objects."""
+
+    @given(BUILDER_CALLS)
+    @example([("literal", 1), ("and_", [0, 0, 1, 1]), ("and_", []), ("and_", [1]), ("or_", []),
+              ("or_", [2, 2]), ("and_or", [0, 1]), ("and_or", [1, 0]), ("literal", -2),
+              ("and_decision", [1, 2, 3]), ("and_decision", [1, 2, 3]), ("decision", (1, 0, 0))])
+    def test_same_ids_and_circuits(self, calls):
+        builder, reference = CircuitBuilder(), builder_reference.CircuitBuilder()
+        ids = drive(builder, calls)
+        assert ids == drive(reference, calls)
+        assert len(builder) == len(reference)
+        assert [builder.gate(i) for i in range(len(builder))] == [
+            reference.gate(i) for i in range(len(reference))]
+        for i in set(ids):
+            assert builder.build(i) == reference.build(i)
+
+
+INT = st.one_of(st.integers(-3, 12), st.integers(-10**30, 10**30),
+                st.sampled_from(["x", "1.5", "", "+2", "\u0663", "9" * 5000]))
+
+
+@st.composite
+def nnf_texts(draw):
+    """NNF-like text: good and bad headers; L, T, F, A, O and D lines with
+    random and out-of-range integers, wrong fan-in counts and forward or
+    negative child references; comments, blank lines, unknown lines,
+    non-ASCII characters and CRLF line ends."""
+    field = lambda: st.builds(str, INT)
+    header = st.one_of(
+        st.builds("nnf {} {} {}".format, field(), field(), field()),
+        st.builds("nnf {} {} {}".format, st.integers(0, 8), st.integers(0, 12), st.integers(0, 6)),
+        st.sampled_from(["nnf 1 0", "nnf 1 0 1 1", "cnf 1 0 1", "nnf", "NNF 1 0 1", "nnf\u00e9 1 0 1"]),
+    )
+    children = st.lists(field(), max_size=4)
+    gate = st.one_of(
+        st.builds("L {}".format, field()),
+        st.sampled_from(["T", "F", "T 1", "F x", "L", "D 1 0", "A", "O", "X 1", "\u00e9"]),
+        st.builds(lambda kind, count, kids: " ".join([kind, count, *kids]),
+                  st.sampled_from(["A", "O"]),
+                  st.one_of(field(), st.sampled_from(["0", "1", "2"])), children),
+        st.builds(lambda kind, kids: " ".join([kind, str(len(kids)), *kids]),
+                  st.sampled_from(["A", "O"]), st.lists(st.builds(str, st.integers(-1, 6)), max_size=3)),
+        st.builds("D {} {} {}".format, field(), field(), field()),
+        st.builds("D {} {} {}".format, st.integers(0, 6), st.integers(-1, 6), st.integers(-1, 6)),
+    )
+    comment = st.builds("c{}".format, st.text(max_size=5))
+    line = st.one_of(gate, gate, comment, st.sampled_from(["", "  ", "\t"]))
+    lines = draw(st.lists(line, max_size=3)) + [draw(header)] + draw(st.lists(line, max_size=10))
+    if draw(st.booleans()):  # a well-formed file, with one line replaced by chance
+        body, edges = [], 0
+        for k in range(draw(st.integers(1, 10))):
+            kind = draw(st.sampled_from("LTF" if k == 0 else "LTFAOD"))
+            kids = draw(st.lists(st.integers(0, k - 1), min_size=2 if kind == "D" else 0,
+                                 max_size=2 if kind == "D" else 3)) if k else []
+            edges += len(kids)
+            body.append({"L": f"L {draw(st.sampled_from([1, -1, 2, -2, 3]))}", "T": "T", "F": "F",
+                         "D": f"D {draw(st.integers(1, 3))} {kids[0] if kids else 0} {kids[-1] if kids else 0}",
+                         }.get(kind, " ".join(map(str, [kind, len(kids), *kids]))))
+            if draw(st.integers(0, 5)) == 0:
+                body.append(draw(comment))
+        lines = [f"nnf {sum(l[0] in 'LTFAOD' for l in body)} {edges} 3"] + body
+        if draw(st.booleans()):
+            lines[draw(st.integers(0, len(lines) - 1))] = draw(line)
+    indent = st.sampled_from(["", " ", "\t", "\xa0"])
+    return draw(st.sampled_from(["\n", "\r\n"])).join(draw(indent) + l for l in lines) + "\n"
+
+
+class TestNnfFuzz:
+    @given(nnf_texts(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_read_raises_only_value_errors(self, text, as_bytes):
+        try:
+            circuit = read_nnf(text.encode("utf-8") if as_bytes else text)
+        except ValueError:  # NnfParseError, and UnicodeDecodeError for bytes
+            return
+        assert read_nnf(write_nnf(circuit)) == prune_unreachable(circuit)
+
+    @given(nnf_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_verify_exits_with_a_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.nnf")
+            with open(path, "wb") as handle:
+                handle.write(text.encode("utf-8"))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", path])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from betadnnf import cli, dpll, hypergraph
+from betadnnf import CnfFormula, cli, count_dpll, dpll, hypergraph
 from betadnnf.cli import main
+from betadnnf.dpll import OrderStrategy, search
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -236,6 +243,94 @@ class TestDpllCommand:
         code, _, err = run(capsys, "--budget", "2", "dpll", fstar_path())
         assert code == 3
         assert "refused" in err
+
+
+def random_3cnf(path, n=80, m=300, seed=0):
+    """A random 3-CNF: in lex order the search is exponential."""
+    rng = random.Random(seed)
+    lines = [" ".join(str(v if rng.random() < 0.5 else -v) for v in rng.sample(range(1, n + 1), 3))
+             for _ in range(m)]
+    path.write_text(f"p cnf {n} {m}\n" + " 0\n".join(lines) + " 0\n")
+    return str(path)
+
+
+class TestDefaultLexBudget:
+    """`dpll` in lex order and the lex fallback of `count --method dpll`
+    stop at `cli.LEX_BUDGET` steps unless `--budget` is given."""
+
+    NOTE = "(the lex-order default; --budget sets another)"
+
+    def test_the_lex_searches_of_the_tests_fit(self, capsys):
+        # the widest clause the tests search in lex order takes 8,001 steps
+        formula = CnfFormula.from_ints([range(1, 4001)])
+        assert search(formula, OrderStrategy.lexicographic(), budget=cli.LEX_BUDGET)[0] == 2**4000 - 1
+        for name in ("fstar", "triangle", "two_components", "empty"):
+            path = os.path.join(GOLDEN, f"{name}.cnf")
+            code, out, _ = run(capsys, "dpll", path)
+            assert code == 0
+            assert run(capsys, "count", path, "--method", "dpll")[:2] == (0, out.split("\n")[0] + "\n")
+
+    def test_random_3cnf_is_refused_within_seconds(self, capsys, tmp_path):
+        path = random_3cnf(tmp_path / "r3.cnf")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dpll", path)
+        assert time.perf_counter() - start < 5
+        assert (code, out, err) == (3, "", f"refused: exceeded {cli.LEX_BUDGET} steps {self.NOTE}\n")
+
+    def test_only_lex_order_without_budget_is_bounded(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "LEX_BUDGET", 5)  # fstar takes more steps in either order
+        refused = (3, "", f"refused: exceeded 5 steps {self.NOTE}\n")
+        assert run(capsys, "dpll", fstar_path()) == refused
+        assert run(capsys, "count", os.path.join(GOLDEN, "triangle.cnf"), "--method", "dpll") == refused
+        assert run(capsys, "dpll", fstar_path(), "--strategy", "reverse-beta")[:2] == (0, "13\n")
+        assert run(capsys, "count", fstar_path(), "--method", "dpll")[:2] == (0, "13\n")
+        assert run(capsys, "--budget", "1000", "dpll", fstar_path())[:2] == (0, "13\n")
+        assert run(capsys, "--budget", "2", "dpll", fstar_path()) == (3, "", "refused: exceeded 2 steps\n")
+
+    def test_the_library_stays_unbounded(self):
+        width = cli.LEX_BUDGET // 2 + 1  # 2 * width + 1 steps, past the default
+        formula = CnfFormula.from_ints([range(1, width + 1)])
+        for strategy in (OrderStrategy.lexicographic(), OrderStrategy.reverse_beta_elimination()):
+            assert count_dpll(formula, strategy)[0] == 2**width - 1
+
+
+# a few of fstar's beta-elimination orders, among its 16
+FSTAR_ORDERS = [(1, 2, 3, 4, 5), (1, 3, 4, 5, 2), (3, 1, 4, 2, 5), (3, 4, 5, 2, 1)]
+
+
+@st.composite
+def order_texts(draw):
+    """Order-file text over fstar's vertices 1..5: valid orders and random
+    permutations, with repeats, missing and extra vertices, non-integers,
+    blank lines, surrounding blanks and CRLF line ends."""
+    vertices = draw(st.one_of(st.sampled_from(FSTAR_ORDERS), st.permutations(range(1, 6))))
+    tokens = [str(v) for v in vertices[:draw(st.sampled_from([5, 5, 4, 3]))]]
+    for extra in draw(st.lists(st.one_of(
+            st.builds(str, st.integers(-2, 8)),
+            st.sampled_from(["x", "1.0", "2 3", "", " ", "\u0663", "9" * 5000])), max_size=3)):
+        tokens.insert(draw(st.integers(0, len(tokens))), extra)
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [draw(pad) + t + draw(pad) for t in tokens]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestOrderFileFuzz:
+    @given(order_texts())
+    @settings(max_examples=120, deadline=None)
+    def test_compile_and_count_exit_with_a_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            order = os.path.join(tmp, "order.txt")
+            with open(order, "wb") as handle:
+                handle.write(text.encode("utf-8"))
+            for argv in (["compile", fstar_path(), "-o", os.path.join(tmp, "f.nnf"), "--order", order],
+                         ["count", fstar_path(), "--order", order]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                if argv[0] == "count" and code == 0:
+                    assert out.getvalue() == "13\n"
 
 
 class TestLabCommands:

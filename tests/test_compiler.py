@@ -88,8 +88,8 @@ def pairwise_compute_U(compiler, edge, x, tau):
     graph, order = compiler.hypergraph, compiler.order
     lowest_unsat = {}
     for g in sub_hypergraph(graph, order, edge, x).edges:
-        for cid in compiler.clauses_by_edge[g]:
-            if tau.isdisjoint(compiler.clauses[cid].literals):
+        for cid, clause in enumerate(compiler.clauses):
+            if clause.variables == g and tau.isdisjoint(clause.literals):
                 lowest_unsat[g] = cid
                 break
     y = order.predecessor(x)
@@ -222,6 +222,29 @@ class TestComputeU:
             compute_U(fstar, ORDER, E5, 5, frozenset({-4, -5}))
         with pytest.raises(ValueError, match="bind exactly"):
             compute_U(fstar, ORDER, E5, 5, frozenset({5, -5}))
+
+    @pytest.mark.parametrize("edge, x, above, message", [
+        ({1, 5}, 5, {-5}, "edge [1, 5] not in the hypergraph"),
+        ({2, 4, 5}, 3, {-3, -4, -5}, "variable 3 does not occur in the clause"),
+        ({1, 2}, 1, {-2}, "variable 1 is first in the order and has no predecessor"),
+        ({2, 4, 5}, 4, {-2}, "restriction must bind exactly [5], got [-2]"),
+        ({2, 4, 5}, 4, {5, -5}, "restriction must bind exactly [5], got [-5, 5]"),
+        ({2, 4, 5}, 2, {-4, 6}, "restriction must bind exactly [4, 5], got [-4, 6]"),
+        ({2, 4, 5}, 2, {-4, 5, -5}, "restriction must bind exactly [4, 5], got [-4, -5, 5]"),
+        ({2, 4, 5}, 5, {-4, -5}, "restriction must bind exactly [], got [-4, -5]"),
+    ])
+    def test_refusal_messages(self, fstar, edge, x, above, message):
+        with pytest.raises(ValueError) as info:
+            Compiler(fstar, ORDER).compute_U(frozenset(edge), x, frozenset(above))
+        assert str(info.value) == message
+
+    def test_lookup_names_an_uncomputed_key(self, fstar):
+        compiler = Compiler(fstar, ORDER)
+        k5 = [c.sorted_literals() for c in compiler.clauses].index((2, 4, 5))
+        with pytest.raises(AssertionError) as info:
+            compiler.lookup(E5, k5, 4)
+        assert str(info.value) == (
+            "uncomputed sub-circuit requested: SubFormulaKey(edge_index=4, restriction=(5,), cutoff=4)")
 
     def test_candidates_joined_only_above_them_stay_apart(self):
         """{1,2} and {3,4} share a class one stage down only through the

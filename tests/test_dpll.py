@@ -9,21 +9,27 @@ from hypothesis import strategies as st
 from betadnnf import (
     Clause,
     CnfFormula,
+    EliminationOrder,
+    beta_elimination_order,
     brute_force_count,
     check_decision,
     check_decomposable,
+    compile_cnf,
     count_dpll,
     count_models,
+    hypergraph_of,
+    parse_dimacs,
     trace_to_circuit,
     write_nnf,
 )
+from betadnnf import hypergraph
 from betadnnf.circuit import AndGate, DecisionGate, FalseGate
 from betadnnf.dpll import DpllStats, OrderStrategy, search
 from betadnnf.errors import BudgetExceededError, NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 
 import dpll_reference
-from conftest import fibonacci, interval3_clauses, transfer_count
+from conftest import FSTAR_DIMACS, fibonacci, interval3_clauses, transfer_count
 
 STRATEGIES = [OrderStrategy.reverse_beta_elimination(), OrderStrategy.lexicographic()]
 
@@ -285,3 +291,56 @@ class TestPastTheEnumerationCap:
         clauses = interval3_clauses(n)
         count, _ = count_dpll(CnfFormula.from_ints(clauses), OrderStrategy.reverse_beta_elimination())
         assert count == transfer_count(n, clauses, 3)
+
+
+def count_order_calls(monkeypatch) -> list:
+    """Count the greedy order's calls through every module-level name the
+    package resolves it by."""
+    original, calls = hypergraph.beta_elimination_order, []
+
+    def counted(graph):
+        calls.append(graph)
+        return original(graph)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("betadnnf"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneOrderPerFormula:
+    """A formula computes its elimination order once, for both engines."""
+
+    def test_compile_then_dpll_compute_the_order_once(self, monkeypatch):
+        calls = count_order_calls(monkeypatch)
+        formula = parse_dimacs(FSTAR_DIMACS)
+        for _ in range(2):
+            circuit, report = compile_cnf(formula)
+            count, _ = count_dpll(formula, OrderStrategy.reverse_beta_elimination())
+            assert count == count_models(circuit, formula.variables) == 13
+            assert len(calls) == 1
+        assert report.elimination_order == beta_elimination_order(hypergraph_of(formula)).sequence
+        assert OrderStrategy.reverse_beta_elimination().priority(formula) == tuple(
+            reversed(report.elimination_order))
+
+    def test_an_explicit_order_is_still_verified(self):
+        formula = CnfFormula.from_ints([[1, 2], [2, 3]])
+        compile_cnf(formula)
+        with pytest.raises(ValueError, match="not a beta-elimination order"):
+            compile_cnf(formula, EliminationOrder((2, 1, 3)))
+
+    def test_both_engines_refuse_with_the_same_certificate(self, monkeypatch):
+        calls = count_order_calls(monkeypatch)
+        formula = CnfFormula.from_ints([[1, 2], [2, 3], [1, 3], [3, 4]])
+        stuck = beta_elimination_order(hypergraph_of(formula)).stuck_vertices
+        calls.clear()
+        for _ in range(2):
+            with pytest.raises(NotBetaAcyclicError) as compiled:
+                compile_cnf(formula)
+            with pytest.raises(NotBetaAcyclicError) as searched:
+                count_dpll(formula, OrderStrategy.reverse_beta_elimination())
+            assert compiled.value.certificate == searched.value.certificate == stuck == {1, 2, 3}
+            assert str(compiled.value) == str(searched.value) == "no nest point among vertices [1, 2, 3]"
+        assert len(calls) == 1
