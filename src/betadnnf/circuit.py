@@ -79,12 +79,17 @@ class NnfCircuit:
         if not (0 <= output < len(self.gates)):
             raise ValueError(f"output index {output} out of range")
         for i, gate in enumerate(self.gates):
-            for c in gate_children(gate):
+            kind = type(gate)  # one dispatch per gate; traces are almost all decision gates
+            if kind is DecisionGate:
+                kids = gate.hi, gate.lo
+            else:
+                kids = gate.children if kind is AndGate or kind is OrGate else ()
+            for c in kids:
                 if not (0 <= c < i):
                     raise ValueError(f"gate {i} references child {c}, not strictly below it")
-            if isinstance(gate, LiteralGate) and gate.literal == 0:
+            if kind is LiteralGate and gate.literal == 0:
                 raise ValueError("0 is not a literal")
-            if isinstance(gate, DecisionGate) and gate.variable < 1:
+            if kind is DecisionGate and gate.variable < 1:
                 raise ValueError("decision variable ids must be >= 1")
 
     @property
@@ -173,7 +178,11 @@ class CircuitBuilder:
         return self._add(OrGate, kids)
 
     def decision(self, variable: int, hi: int, lo: int) -> int:
-        return self._add(DecisionGate, variable, hi, lo)
+        # `_add` without its argument packing, as traces make mostly decision gates
+        found = self._index.setdefault((DecisionGate, variable, hi, lo), len(self._gates))
+        if found == len(self._gates):
+            self._gates.append(DecisionGate(variable, hi, lo))
+        return found
 
     def gate(self, index: int) -> Gate:
         return self._gates[index]
@@ -410,24 +419,20 @@ def prune_unreachable(circuit: NnfCircuit) -> NnfCircuit:
     """The gates the output reaches; the result is marked, so pruning it again is free."""
     if circuit._reachable:
         return circuit
-    needed = set()
-    stack = [circuit.output]
-    while stack:
-        i = stack.pop()
-        if i in needed:
-            continue
-        needed.add(i)
-        stack.extend(gate_children(circuit.gates[i]))
-    if len(needed) < circuit.size:  # children precede parents, so the output is last
-        keep = sorted(needed)
+    reached = bytearray(circuit.size)
+    reached[circuit.output] = 1
+    for i in range(circuit.output, -1, -1):  # children precede parents, so one pass down
+        if reached[i]:
+            for c in gate_children(circuit.gates[i]):
+                reached[c] = 1
+    if reached.count(1) < circuit.size:
+        keep = [i for i in range(circuit.output + 1) if reached[i]]
         new_index = {old: new for new, old in enumerate(keep)}
         gates: list[Gate] = []
         for old in keep:
             gate = circuit.gates[old]
-            if isinstance(gate, AndGate):
-                gates.append(AndGate(tuple(new_index[c] for c in gate.children)))
-            elif isinstance(gate, OrGate):
-                gates.append(OrGate(tuple(new_index[c] for c in gate.children)))
+            if isinstance(gate, (AndGate, OrGate)):
+                gates.append(type(gate)(tuple(new_index[c] for c in gate.children)))
             elif isinstance(gate, DecisionGate):
                 gates.append(DecisionGate(gate.variable, new_index[gate.hi], new_index[gate.lo]))
             else:
@@ -644,22 +649,22 @@ def write_nnf(circuit: NnfCircuit) -> str:
     """Serialize: header `nnf <gates> <child edges> <max variable>`, then one
     gate per line (L/T/F/A/O/D); the last gate is the output."""
     pruned = prune_unreachable(circuit)
-    edges = sum(len(gate_children(g)) for g in pruned.gates)
-    max_var = max(pruned.variables, default=0)
-    lines = [f"nnf {pruned.size} {edges} {max_var}"]
-    for gate in pruned.gates:
-        if isinstance(gate, LiteralGate):
-            lines.append(f"L {gate.literal}")
-        elif isinstance(gate, TrueGate):
-            lines.append("T")
-        elif isinstance(gate, FalseGate):
-            lines.append("F")
-        elif isinstance(gate, AndGate):
-            lines.append("A " + " ".join(str(c) for c in (len(gate.children),) + gate.children))
-        elif isinstance(gate, OrGate):
-            lines.append("O " + " ".join(str(c) for c in (len(gate.children),) + gate.children))
-        else:
+    lines, edges, max_var = [""], 0, 0  # the header goes first once the pass has counted
+    for gate in pruned.gates:  # one pass: emit, count edges, track the largest variable
+        kind = type(gate)
+        if kind is DecisionGate:
             lines.append(f"D {gate.variable} {gate.hi} {gate.lo}")
+            edges += 2
+            max_var = max(max_var, gate.variable)
+        elif kind is LiteralGate:
+            lines.append(f"L {gate.literal}")
+            max_var = max(max_var, abs(gate.literal))
+        elif kind is AndGate or kind is OrGate:
+            lines.append(("A " if kind is AndGate else "O ") + " ".join(map(str, (len(gate.children),) + gate.children)))
+            edges += len(gate.children)
+        else:
+            lines.append("T" if kind is TrueGate else "F")
+    lines[0] = f"nnf {pruned.size} {edges} {max_var}"
     return "\n".join(lines) + "\n"
 
 

@@ -63,6 +63,18 @@ def _width(formula: cnf_mod.CnfFormula) -> int:
     return max(max(formula.variables, default=0), formula.declared_variables or 0)
 
 
+def _decimal(n: int) -> str:
+    """n in decimal; the interpreter's int-to-text digit limit, if any, is lifted for this call only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _refuse_wider(width: int, cap: int, what: str) -> None:
     """Refuse before a set of `width` variables is built."""
     if width > cap:
@@ -126,7 +138,7 @@ def cmd_count(args) -> int:
             budget = LEX_BUDGET if args.budget is None else args.budget
             count, _ = dpll_mod.count_dpll(formula, dpll_mod.OrderStrategy.lexicographic(), budget)
         n = count << free
-    print(n)
+    print(_decimal(n))
     return EXIT_OK
 
 
@@ -159,7 +171,7 @@ def cmd_dpll(args) -> int:
     count, stats, trace = dpll_mod.search(formula, strategy, budget=budget, trace=bool(args.trace))
     if args.trace:
         circuit_mod.write_nnf_file(trace, args.trace)
-    print(count)
+    print(_decimal(count))
     if args.json:
         print(json.dumps(stats.to_dict(), sort_keys=True))
     else:

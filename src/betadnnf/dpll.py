@@ -4,8 +4,8 @@ The plain scheme only: split into variable-disjoint parts when possible,
 otherwise branch on the variable of least rank in the chosen order. No
 unit propagation, no pure-literal elimination. One pass yields the count,
 the statistics and, optionally, the trace, a decision-DNNF of the input.
-The search keeps its own stack, so memory, not the recursion limit,
-bounds its depth.
+One loop drives a stack of list frames, one per residual being expanded,
+so memory, not the recursion limit, bounds the depth of the search.
 
 Clause states. Write each input clause in rank order. Every clause the
 search meets is a rank-order suffix of an input clause: the branch
@@ -296,76 +296,30 @@ class _Residuals:
         return out
 
 
-def _root(key: tuple[int, ...], nvars: int):  # the stack's bottom: it hands back the root's result
-    return (yield key, None, nvars)
-
-
 def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: int | None = None,
            trace: bool = False) -> tuple[int, DpllStats, NnfCircuit | None]:
     """One DPLL pass: the model count over var(formula), the statistics,
     and with `trace` the search tree as a circuit (decision gates, split
-    conjunctions, cache hits shared), else None. Each cache-missed residual
-    is a generator on an explicit stack: it yields its children and is sent
-    their (count over the child's variables, gate, variable count). A child
-    goes as (key, literal, count): the literal set to reach it with the
-    parent's variable count, or 0 with its own count for a part, or None
-    with the formula's count for the root."""
+    conjunctions, cache hits shared), else None. One loop resolves one
+    request (key, literal, count) per step: the literal set to reach a
+    child with the parent's variable count, or 0 with its own count for a
+    part, or None with the formula's count for the root. A cache-missed
+    residual pushes a list frame that requests its children in turn and
+    takes their (count over the child's variables, gate, variable count)."""
     cache: dict[tuple[int, ...], tuple] = {}
     builder = CircuitBuilder() if trace else None
     if formula.has_empty_clause():
-        root, nvars = _FALSIFIED, 0
+        key, nvars = _FALSIFIED, 0
     else:
         priority = (strategy or OrderStrategy.lexicographic()).priority(formula)
         res = _Residuals(formula.clauses, priority)
-        root, nvars, order, M, width = res.root, res.nvars, res.order, res.M, 2 * res.M
+        key, nvars, order, M, width = res.root, res.nvars, res.order, res.M, 2 * res.M
         size, advance, assign, undo = res.size, res.advance, res.assign, res.undo
-
-    def expand(key, lit, nvars):
-        nonlocal decisions, splits
-        record = parts = None
-        if len(key) == 1:  # one clause: nothing below it needs the input clauses
-            nvars = size[key[0]]
-        elif lit is None:  # the root: every clause seeds the split
-            parts = res.parts(key, nvars, res.vars, whole=True)
-        elif lit:
-            record, nvars, parts = assign(key, lit, nvars)
-        if parts:
-            splits += 1
-            total, gates = 1, []
-            for _, part, n in parts:
-                count, gate, _ = yield part, 0, n
-                total *= count
-                gates.append(gate)
-            gate = builder.and_(sorted(gates)) if trace else None  # one per set of parts
-        else:
-            decisions += 1
-            # x heads a prefix of the key, its positive literal first
-            base = key[0] // width * width
-            p = bisect_left(key, base + width)
-            m = bisect_left(key, base + M, 0, p)
-            x, rest = order[base // width], key[p:]
-            n1, hi, v1 = yield advance(rest, key[m:p]), x, nvars
-            n0, lo, v0 = yield advance(rest, key[:m]), -x, nvars
-            # variables satisfied away still range freely
-            total = (n1 << (nvars - 1 - v1)) + (n0 << (nvars - 1 - v0))
-            gate = builder.decision(x, hi, lo) if trace else None
-        if record is not None:
-            undo(record)
-        cache[key] = result = (total, gate, nvars)
-        return result
-
-    stack = [_root(root, nvars)]
-    value, steps, hits, misses, decisions, splits = None, 0, 0, 0, 0, 0
-    peak = 1  # the stack only grows by a push, and a pushed residual yields at once
+    lit, stack, steps, hits, misses, decisions, splits = None, [], 0, 0, 0, 0, 0
+    depth = 1  # the root's request is one level, and each frame one more
     limit = sys.maxsize if budget is None else budget
     true = false = None  # the results of the trivial residuals, made at first use
-    while stack:
-        try:
-            key, lit, nvars = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-            continue
+    while True:
         steps += 1
         if steps > limit:
             raise BudgetExceededError(f"exceeded {budget} steps", budget)
@@ -375,15 +329,64 @@ def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: i
             value = false = false or (0, builder.false() if trace else None, 0)
         elif (value := cache.get(key)) is not None:
             hits += 1
-        else:  # None primes the new generator
+        else:
             misses += 1
-            stack.append(expand(key, lit, nvars))
-            if len(stack) > peak:
-                peak = len(stack)
+            record = parts = None
+            if len(key) == 1:  # one clause: nothing below it needs the input clauses
+                nvars = size[key[0]]
+            elif lit is None:  # the root: every clause seeds the split
+                parts = res.parts(key, nvars, res.vars, whole=True)
+            elif lit:
+                record, nvars, parts = assign(key, lit, nvars)
+            if parts:  # the frame: key, undo record, count, 0, parts, their gates, product
+                splits += 1
+                stack.append([key, record, nvars, 0, parts, [], 1])
+                (_, key, nvars), lit = parts[0], 0
+            else:
+                decisions += 1
+                # x heads a prefix of the key, its positive literal first
+                base = key[0] // width * width
+                p = bisect_left(key, base + width)
+                m = bisect_left(key, base + M, 0, p)
+                lit = order[base // width]
+                # the frame: key, undo record, count, x, rest, end of the negative prefix, hi result
+                stack.append(frame := [key, record, nvars, lit, key[p:], m, None])
+                key = advance(frame[4], key[m:p])
+            if len(stack) >= depth:
+                depth = len(stack) + 1
+            continue
+        while stack:  # hand the result up until a frame asks for another child
+            frame = stack[-1]
+            if x := frame[3]:
+                if frame[6] is None:  # the lo key is made once the hi subtree is done
+                    frame[6] = value
+                    key, lit, nvars = advance(frame[4], frame[0][:frame[5]]), -x, frame[2]
+                    break
+                (n1, hi, v1), (n0, lo, v0), nvars = frame[6], value, frame[2]
+                # variables satisfied away still range freely
+                total = (n1 << (nvars - 1 - v1)) + (n0 << (nvars - 1 - v0))
+                gate = builder.decision(x, hi, lo) if trace else None
+            else:
+                gates = frame[5]
+                gates.append(value[1])
+                frame[6] *= value[0]
+                if len(gates) < len(frame[4]):
+                    (_, key, nvars), lit = frame[4][len(gates)], 0
+                    break
+                total, gate = frame[6], builder.and_(sorted(gates)) if trace else None  # one per set of parts
+            if frame[1] is not None:
+                undo(frame[1])
+            stack.pop()
+            cache[frame[0]] = value = (total, gate, frame[2])
+        else:
+            break
     stats = DpllStats(decisions=decisions, component_splits=splits, cache_hits=hits,
-                      cache_misses=misses, cache_entries=len(cache), peak_residuals=peak)
+                      cache_misses=misses, cache_entries=len(cache), peak_residuals=depth)
     count, gate, _ = value
-    return count, stats, builder.build(gate) if trace else None
+    circuit = builder.build(gate) if trace else None
+    if trace:  # every gate made is a child of a later one or the output
+        circuit._reachable = True
+    return count, stats, circuit
 
 
 def count_dpll(formula: CnfFormula, strategy: OrderStrategy | None = None,

@@ -91,6 +91,21 @@ class TestCount:
         assert (code, out) == (0, "13\n")
         assert len(calls) == 1
 
+    # `count --method compile` prints through the same line, but compiles one clause of width w in Θ(w²)
+    @pytest.mark.parametrize("argv", [["count", "--method", "dpll"], ["dpll", "--strategy", "reverse-beta"]])
+    def test_counts_past_the_digit_limit_of_int_to_text(self, capsys, tmp_path, argv):
+        width = 15_000  # 2**15000 - 1 has 4,516 digits, above the default limit of 4,300
+        path = tmp_path / "wide.cnf"
+        rows = [" ".join(map(str, range(v, min(v + 500, width + 1)))) for v in range(1, width + 1, 500)]
+        path.write_text(f"p cnf {width} 1\n" + "\n".join(rows) + " 0\n")
+        limit = lambda: getattr(sys, "get_int_max_str_digits", lambda: None)()
+        before = limit()
+        code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        digits = out.splitlines()[0]  # read back in pieces, each under the limit
+        assert int(digits[:-4000]) * 10**4000 + int(digits[-4000:]) == 2**width - 1
+        assert limit() == before  # restored, so parsing keeps it
+
     def test_dpll_falls_back_to_lex_order(self, capsys):
         code, out, _ = run(capsys, "count", os.path.join(GOLDEN, "triangle.cnf"),
                            "--method", "dpll")
