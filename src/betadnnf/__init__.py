@@ -3,7 +3,6 @@ models three independent ways, and probe width-based lower bounds at desk
 scale."""
 
 from .cnf import (
-    Assignment,
     Clause,
     CnfFormula,
     brute_force_count,
@@ -49,7 +48,6 @@ from .lowerbounds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "BranchDecomposition",
     "Clause",
     "CnfFormula",

@@ -354,37 +354,23 @@ def check_deterministic(circuit: NnfCircuit, cap: int = 20) -> bool:
     return True
 
 
-def evaluate(circuit: NnfCircuit, tau: cnf_mod.Assignment) -> int:
-    """Bottom-up evaluation under a total assignment of the circuit variables."""
-    for v in circuit.variables:
-        if v not in tau:
-            raise ValueError(f"variable {v} is unbound")
-    values: list[int] = []
-    for gate in circuit.gates:
-        if isinstance(gate, LiteralGate):
-            values.append(int(tau.satisfies_literal(gate.literal)))
-        elif isinstance(gate, TrueGate):
-            values.append(1)
-        elif isinstance(gate, FalseGate):
-            values.append(0)
-        elif isinstance(gate, AndGate):
-            values.append(int(all(values[c] for c in gate.children)))
-        elif isinstance(gate, OrGate):
-            values.append(int(any(values[c] for c in gate.children)))
-        else:
-            values.append(values[gate.hi] if tau[gate.variable] else values[gate.lo])
-    return values[circuit.output]
+def evaluate(circuit: NnfCircuit, tau: Iterable[int]) -> int:
+    """The value under `tau`, the set of true literals, which must bind
+    every circuit variable: conditioning on it leaves one constant gate."""
+    conditioned = condition(circuit, cnf_mod._literal_set(tau, circuit.variables))
+    return int(isinstance(conditioned.gates[conditioned.output], TrueGate))
 
 
-def condition(circuit: NnfCircuit, tau: cnf_mod.Assignment) -> NnfCircuit:
-    """Plug in the bound literals; never increases the gate count."""
+def condition(circuit: NnfCircuit, tau: Iterable[int]) -> NnfCircuit:
+    """Make the literals of `tau` true; never increases the gate count."""
+    tau = cnf_mod._literal_set(tau)
     builder = CircuitBuilder()
     remap: list[int] = []
     for gate in circuit.gates:
         if isinstance(gate, LiteralGate):
-            if tau.satisfies_literal(gate.literal):
+            if gate.literal in tau:
                 remap.append(builder.true())
-            elif tau.falsifies_literal(gate.literal):
+            elif -gate.literal in tau:
                 remap.append(builder.false())
             else:
                 remap.append(builder.literal(gate.literal))
@@ -407,11 +393,12 @@ def condition(circuit: NnfCircuit, tau: cnf_mod.Assignment) -> NnfCircuit:
             kids = [k for k in kids if not isinstance(builder.gate(k), FalseGate)]
             remap.append(builder.or_(kids))
         else:
-            val = tau.get(gate.variable)
-            if val is None:
-                remap.append(builder.decision(gate.variable, remap[gate.hi], remap[gate.lo]))
+            if gate.variable in tau:
+                remap.append(remap[gate.hi])
+            elif -gate.variable in tau:
+                remap.append(remap[gate.lo])
             else:
-                remap.append(remap[gate.hi] if val else remap[gate.lo])
+                remap.append(builder.decision(gate.variable, remap[gate.hi], remap[gate.lo]))
     return prune_unreachable(builder.build(remap[circuit.output]))
 
 
@@ -483,8 +470,9 @@ def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
     return counts[circuit.output] << outside
 
 
-def is_satisfiable(circuit: NnfCircuit) -> tuple[bool, cnf_mod.Assignment | None]:
-    """Satisfiability plus a witness; linear in the circuit size.
+def is_satisfiable(circuit: NnfCircuit) -> tuple[bool, frozenset[int] | None]:
+    """Satisfiability plus a witness, the set of its true literals over the
+    output variables; linear in the circuit size.
 
     Requires decomposability: a conjunction is then satisfiable exactly
     when all of its inputs are.
@@ -506,27 +494,27 @@ def is_satisfiable(circuit: NnfCircuit) -> tuple[bool, cnf_mod.Assignment | None
             sat.append(sat[gate.hi] or sat[gate.lo])
     if not sat[circuit.output]:
         return False, None
-    bindings: dict[int, int] = {}
+    chosen: dict[int, int] = {}  # variable -> its true literal
     stack = [circuit.output]
     while stack:
         i = stack.pop()
         gate = circuit.gates[i]
         if isinstance(gate, LiteralGate):
-            bindings.setdefault(abs(gate.literal), 1 if gate.literal > 0 else 0)
+            chosen.setdefault(abs(gate.literal), gate.literal)
         elif isinstance(gate, AndGate):
             stack.extend(gate.children)
         elif isinstance(gate, OrGate):
             stack.append(next(c for c in gate.children if sat[c]))
         elif isinstance(gate, DecisionGate):
             if sat[gate.hi]:
-                bindings.setdefault(gate.variable, 1)
+                chosen.setdefault(gate.variable, gate.variable)
                 stack.append(gate.hi)
             else:
-                bindings.setdefault(gate.variable, 0)
+                chosen.setdefault(gate.variable, -gate.variable)
                 stack.append(gate.lo)
     for v in circuit.output_variables:
-        bindings.setdefault(v, 0)
-    return True, cnf_mod.Assignment(bindings)
+        chosen.setdefault(v, -v)
+    return True, frozenset(chosen.values())
 
 
 class Vtree:

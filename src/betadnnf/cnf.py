@@ -1,4 +1,4 @@
-"""CNF data model: clauses, formulas, partial assignments, DIMACS I/O.
+"""CNF data model: clauses, formulas, DIMACS I/O.
 
 Literals follow the DIMACS convention: a positive integer v is the
 variable v, -v is its negation. Clauses and formulas have set semantics,
@@ -7,7 +7,7 @@ duplicate literals/clauses collapse and clause order is irrelevant.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError, DimacsParseError
@@ -18,73 +18,22 @@ Literal = int
 MAX_DIMACS_LINE_BYTES = 4096
 
 
-class Assignment:
-    """Immutable partial map from variable ids to {0, 1}."""
+def _literal_set(tau: Iterable[Literal], total_over: Iterable[int] = ()) -> frozenset[Literal]:
+    """A partial assignment as the frozenset of the literals it makes true.
 
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = bindings.items() if isinstance(bindings, Mapping) else bindings
-        normalized = {}
-        for var, val in items:
-            if var < 1:
-                raise ValueError(f"variable ids must be >= 1, got {var}")
-            normalized[int(var)] = 1 if val else 0
-        self._bindings = normalized
-
-    def domain(self) -> frozenset[int]:
-        return frozenset(self._bindings)
-
-    def restrict(self, variables: Iterable[int]) -> "Assignment":
-        """Keep exactly the bindings whose variable lies in `variables`."""
-        keep = set(variables)
-        return Assignment({v: b for v, b in self._bindings.items() if v in keep})
-
-    def agrees_with(self, other: "Assignment") -> bool:
-        """True when both assignments coincide on their shared domain."""
-        small, big = sorted((self._bindings, other._bindings), key=len)
-        return all(big.get(v, b) == b for v, b in small.items())
-
-    def union(self, other: "Assignment") -> "Assignment":
-        """Combined assignment; defined only for compatible operands."""
-        if not self.agrees_with(other):
-            raise ValueError("assignments disagree on a shared variable")
-        merged = dict(self._bindings)
-        merged.update(other._bindings)
-        return Assignment(merged)
-
-    def satisfies_literal(self, lit: Literal) -> bool:
-        val = self._bindings.get(abs(lit))
-        return val is not None and (val == 1) == (lit > 0)
-
-    def falsifies_literal(self, lit: Literal) -> bool:
-        val = self._bindings.get(abs(lit))
-        return val is not None and (val == 1) != (lit > 0)
-
-    def get(self, var: int, default=None):
-        return self._bindings.get(var, default)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._bindings.items()))
-
-    def __getitem__(self, var: int) -> int:
-        return self._bindings[var]
-
-    def __contains__(self, var: int) -> bool:
-        return var in self._bindings
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Assignment) and self._bindings == other._bindings
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._bindings.items())))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}->{b}" for v, b in self.items())
-        return f"Assignment({{{inner}}})"
+    Raises ValueError on the literal 0, on a variable given both signs, or
+    on a variable of `total_over` that `tau` leaves unbound.
+    """
+    tau = frozenset(tau)
+    if 0 in tau:
+        raise ValueError("0 is not a literal")
+    for lit in tau:
+        if -lit in tau:
+            raise ValueError(f"variable {abs(lit)} is both true and false")
+    for v in total_over:
+        if v not in tau and -v not in tau:
+            raise ValueError(f"variable {v} is unbound")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -112,12 +61,6 @@ class Clause:
     def sorted_literals(self) -> tuple[Literal, ...]:
         return tuple(sorted(self.literals, key=abs))
 
-    def is_empty(self) -> bool:
-        return not self.literals
-
-    def satisfied_by(self, tau: Assignment) -> bool:
-        return any(tau.satisfies_literal(l) for l in self.literals)
-
     def __len__(self) -> int:
         return len(self.literals)
 
@@ -125,9 +68,9 @@ class Clause:
         return f"Clause({list(self.sorted_literals())})"
 
 
-def falsifying_assignment(clause: Clause) -> Assignment:
+def falsifying_assignment(clause: Clause) -> frozenset[Literal]:
     """The unique assignment of var(C) that satisfies no literal of C."""
-    return Assignment({abs(l): 0 if l > 0 else 1 for l in clause.literals})
+    return frozenset(-l for l in clause.literals)
 
 
 @dataclass(frozen=True)
@@ -170,25 +113,23 @@ class CnfFormula:
             object.__setattr__(self, "_order", found)
         return found[0], _order_or_refuse(found[1])
 
-    def restrict(self, tau: Assignment) -> "CnfFormula":
-        """The residual formula after plugging in `tau`.
+    def restrict(self, tau: Iterable[Literal]) -> "CnfFormula":
+        """The residual formula after making the literals of `tau` true.
 
         Satisfied clauses are dropped, falsified literals are deleted; a
         clause that loses all its literals stays as the empty clause.
         """
-        out = []
-        for clause in self.clauses:
-            if clause.satisfied_by(tau):
-                continue
-            out.append(Clause(l for l in clause.literals if not tau.falsifies_literal(l)))
-        return CnfFormula(out)
+        tau = _literal_set(tau)
+        return CnfFormula(
+            Clause(l for l in clause.literals if -l not in tau)
+            for clause in self.clauses
+            if tau.isdisjoint(clause.literals)
+        )
 
-    def evaluate(self, tau: Assignment) -> int:
-        """1 iff `tau` satisfies every clause; requires a total assignment."""
-        for v in self.variables:
-            if v not in tau:
-                raise ValueError(f"variable {v} is unbound")
-        return int(all(c.satisfied_by(tau) for c in self.clauses))
+    def evaluate(self, tau: Iterable[Literal]) -> int:
+        """1 iff `tau` satisfies every clause; `tau` must bind every variable."""
+        tau = _literal_set(tau, self.variables)
+        return int(all(not tau.isdisjoint(c.literals) for c in self.clauses))
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -207,7 +148,7 @@ def hypergraph_of(formula: CnfFormula) -> Hypergraph:
 def variable_masks(variables: Iterable[int]) -> dict[int, int]:
     """Bit pattern of each variable over all assignments of the set.
 
-    Assignment k maps variable number i (in sorted order) to bit i of k;
+    The k-th assignment maps variable number i (in sorted order) to bit i of k;
     the pattern of a variable has bit k set iff the variable is 1 there.
     """
     ordered = sorted(set(variables))

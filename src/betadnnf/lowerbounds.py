@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .circuit import Vtree as BranchDecomposition
-from .cnf import Assignment, Clause, CnfFormula, hypergraph_of, truth_table_of_formula
+from .cnf import Clause, CnfFormula, _literal_set, hypergraph_of, truth_table_of_formula
 from .errors import CapExceededError
 from .hypergraph import (
     EliminationOrder,
@@ -214,23 +214,29 @@ def exact_mimw(graph: Graph, cap: int = 8) -> tuple[int, BranchDecomposition | N
     return best[full]
 
 
+def _total_over(tau: Iterable[int], variables: frozenset[int]) -> frozenset[int]:
+    """`tau` as a literal set, which must bind exactly `variables`."""
+    tau = _literal_set(tau)
+    if {abs(l) for l in tau} != variables:
+        raise ValueError("satisfying assignments must be total over the split")
+    return tau
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """Boolean function over a split variable set, given by its satisfying
-    assignments; a rectangle must be closed under mixing across the split."""
+    assignments as sets of true literals; a rectangle must be closed under
+    mixing across the split."""
 
     left: frozenset[int]
     right: frozenset[int]
-    satisfying: frozenset[Assignment]
+    satisfying: frozenset[frozenset[int]]
 
     def __init__(self, left: Iterable[int], right: Iterable[int], satisfying):
         l, r = frozenset(left), frozenset(right)
         if l & r:
             raise ValueError(f"split sides overlap on {sorted(l & r)}")
-        sats = frozenset(satisfying)
-        for tau in sats:
-            if tau.domain() != l | r:
-                raise ValueError("satisfying assignments must be total over the split")
+        sats = frozenset(_total_over(tau, l | r) for tau in satisfying)
         object.__setattr__(self, "left", l)
         object.__setattr__(self, "right", r)
         object.__setattr__(self, "satisfying", sats)
@@ -239,11 +245,12 @@ class Rectangle:
 def is_rectangle(rect: Rectangle) -> bool:
     """Closure check: mixing the left half of one satisfying assignment
     with the right half of another stays satisfying."""
-    sats = list(rect.satisfying)
-    for a in sats:
-        a_left = a.restrict(rect.left)
-        for b in sats:
-            if a_left.union(b.restrict(rect.right)) not in rect.satisfying:
+    left = rect.left | {-v for v in rect.left}
+    right = rect.right | {-v for v in rect.right}
+    for a in rect.satisfying:
+        a_left = a & left
+        for b in rect.satisfying:
+            if a_left | (b & right) not in rect.satisfying:
                 return False
     return True
 
@@ -255,8 +262,9 @@ def min_rectangle_cover(
     whose satisfying sets union to the function's satisfying set.
 
     `function` is a CnfFormula or an explicit collection of total
-    assignments. Candidates are the maximal product subsets of the
-    satisfying set; exact set cover by branch and bound.
+    assignments, each a set of true literals. Candidates are the maximal
+    product subsets of the satisfying set; exact set cover by branch and
+    bound.
     """
     ls, rs = frozenset(left), frozenset(right)
     if ls & rs:
@@ -274,11 +282,7 @@ def min_rectangle_cover(
         table = truth_table_of_formula(function, variables)
         sat = {a for a in range(1 << len(variables)) if table >> a & 1}
     else:
-        sat = set()
-        for tau in function:
-            if tau.domain() != set(variables):
-                raise ValueError("satisfying assignments must be total over the split")
-            sat.add(sum(1 << index[v] for v in variables if tau[v]))
+        sat = {sum(1 << index[l] for l in _total_over(tau, ls | rs) if l > 0) for tau in function}
     if not sat:
         return 0
     left_mask = sum(1 << index[v] for v in ls)

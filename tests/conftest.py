@@ -70,6 +70,12 @@ def fig3_vtree() -> Vtree:
 TRIANGLE = Hypergraph([{1, 2}, {2, 3}, {1, 3}])
 
 
+def lits(bindings=()) -> frozenset[int]:
+    """A {variable: 0 or 1} map, or its pairs, as the set of its true
+    literals: lits({1: 1, 2: 0}) == frozenset({1, -2})."""
+    return frozenset(v if b else -v for v, b in dict(bindings).items())
+
+
 def linear_fit_r2(xs, ys) -> float:
     """Coefficient of determination of the least-squares line."""
     n = len(xs)

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betadnnf import (
-    Assignment,
     CnfFormula,
     brute_force_count,
     check_decision,
@@ -50,7 +49,7 @@ from betadnnf.dpll import OrderStrategy, search
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 
 import builder_reference
-from conftest import FSTAR_DIMACS
+from conftest import FSTAR_DIMACS, lits
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -119,32 +118,32 @@ class TestEvaluate:
         [({1: 1, 2: 1, 3: 0}, 1), ({1: 0, 2: 1, 3: 0}, 0), ({1: 0, 2: 0, 3: 1}, 1)],
     )
     def test_fig3(self, fig3, bindings, expected):
-        assert evaluate(fig3, Assignment(bindings)) == expected
+        assert evaluate(fig3, lits(bindings)) == expected
 
     def test_constant_true(self):
         b = CircuitBuilder()
-        assert evaluate(b.build(b.true()), Assignment()) == 1
+        assert evaluate(b.build(b.true()), lits()) == 1
 
     def test_unbound_variable(self, fig3):
         with pytest.raises(ValueError, match="3"):
-            evaluate(fig3, Assignment({1: 1, 2: 1}))
+            evaluate(fig3, lits({1: 1, 2: 1}))
 
 
 class TestCondition:
     def test_fig3_conditioned_equals_inner_disjunction(self, fig3):
-        got = condition(fig3, Assignment({1: 1}))
+        got = condition(fig3, lits({1: 1}))
         assert got.size <= fig3.size
         assert equivalent_to_formula(got, CnfFormula.from_ints([[2, 3]]))
 
     def test_empty_assignment_is_identity(self, fig3):
-        assert condition(fig3, Assignment()) == fig3
+        assert condition(fig3, lits()) == fig3
 
     def test_total_assignment_gives_constant(self, fig3):
         for bits in itertools.product((0, 1), repeat=3):
-            tau = Assignment(dict(zip((1, 2, 3), bits)))
+            tau = lits(zip((1, 2, 3), bits))
             got = condition(fig3, tau)
             assert got.size == 1
-            assert evaluate(got, Assignment()) == evaluate(fig3, tau)
+            assert evaluate(got, lits()) == evaluate(fig3, tau)
 
     def test_agrees_with_evaluation_on_compiled_circuits(self):
         rng = random.Random(5)
@@ -153,14 +152,14 @@ class TestCondition:
             circuit, _ = compile_cnf(formula)
             variables = sorted(circuit.output_variables)
             bound = [v for v in variables if rng.random() < 0.5]
-            tau = Assignment({v: rng.randint(0, 1) for v in bound})
+            tau = lits({v: rng.randint(0, 1) for v in bound})
             got = condition(circuit, tau)
             assert got.size <= circuit.size
             assert check_decomposable(got)[0]
             free = [v for v in variables if v not in bound]
             for bits in itertools.product((0, 1), repeat=len(free)):
-                sigma = Assignment(dict(zip(free, bits)))
-                assert evaluate(got, tau.union(sigma)) == evaluate(circuit, tau.union(sigma))
+                sigma = lits(zip(free, bits))
+                assert evaluate(got, tau | sigma) == evaluate(circuit, tau | sigma)
 
 
 class TestCountModels:
@@ -205,7 +204,7 @@ class TestSatisfiability:
     def test_negative_literal(self):
         b = CircuitBuilder()
         ok, witness = is_satisfiable(b.build(b.literal(-3)))
-        assert ok and witness[3] == 0
+        assert ok and -3 in witness
 
     def test_refuses_non_decomposable(self):
         b = CircuitBuilder()
@@ -339,8 +338,8 @@ class TestNnfFormat:
         text = "nnf 5 4 3\nL 2\nF\nT\nD 3 2 1\nD 1 3 0\n"
         circuit = read_nnf(text)
         # output = (x1 and (x3 ? true : false)) or (not-x1 and x2)
-        assert evaluate(circuit, Assignment({1: 1, 2: 0, 3: 1})) == 1
-        assert evaluate(circuit, Assignment({1: 0, 2: 0, 3: 1})) == 0
+        assert evaluate(circuit, lits({1: 1, 2: 0, 3: 1})) == 1
+        assert evaluate(circuit, lits({1: 0, 2: 0, 3: 1})) == 0
 
     def test_roundtrip_fixed_point(self, fstar):
         circuit, _ = compile_cnf(fstar)
@@ -385,7 +384,7 @@ class TestTruthTables:
         tables = truth_tables(fig3, (1, 2, 3))
         out = tables[fig3.output]
         for k, bits in enumerate(itertools.product((0, 1), repeat=3)):
-            tau = Assignment({v: bits[v - 1] for v in (1, 2, 3)})
+            tau = lits({v: bits[v - 1] for v in (1, 2, 3)})
             # assignment index k has bit i equal to the value of variable i+1
             index = sum(bits[i] << i for i in range(3))
             assert (out >> index) & 1 == evaluate(fig3, tau)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betadnnf import (
-    Assignment,
     Clause,
     CnfFormula,
     brute_force_count,
@@ -15,10 +14,12 @@ from betadnnf import (
     parse_dimacs,
     write_dimacs,
 )
+from betadnnf.circuit import condition, evaluate
 from betadnnf.errors import CapExceededError, DimacsParseError
+from betadnnf.lowerbounds import Rectangle, min_rectangle_cover
 
 import dimacs_reference
-from conftest import FSTAR_DIMACS, FSTAR_EDGES
+from conftest import FSTAR_DIMACS, FSTAR_EDGES, build_fig3, lits
 
 
 def clause_set(formula):
@@ -107,34 +108,34 @@ class TestClause:
 
 class TestRestrict:
     def test_worked_example(self, fstar):
-        got = fstar.restrict(Assignment({5: 0}))
+        got = fstar.restrict(lits({5: 0}))
         assert clause_set(got) == {(1, 2), (3, 4), (2,), (4,), (2, 4)}
 
     def test_empty_assignment_is_identity(self, fstar):
-        assert fstar.restrict(Assignment()) == fstar
+        assert fstar.restrict(lits()) == fstar
 
     def test_falsified_clause_becomes_empty(self):
         f = CnfFormula.from_ints([[1, 2]])
-        got = f.restrict(Assignment({1: 0, 2: 0}))
+        got = f.restrict(lits({1: 0, 2: 0}))
         assert got.has_empty_clause()
 
     def test_size_never_grows(self, fstar):
         for bits in itertools.product((0, 1), repeat=3):
-            tau = Assignment(dict(zip((1, 3, 5), bits)))
+            tau = lits(zip((1, 3, 5), bits))
             assert fstar.restrict(tau).size <= fstar.size
 
 
 class TestFalsifyingAssignment:
     def test_plain(self):
         tau = falsifying_assignment(Clause([1, -3]))
-        assert dict(tau.items()) == {1: 0, 3: 1}
+        assert tau == lits({1: 0, 3: 1})
 
     def test_never_satisfies_and_binds_exactly_clause_vars(self):
         for lits in ([1, 2], [-1, 3], [-2], [1, -4, 5]):
             c = Clause(lits)
             tau = falsifying_assignment(c)
-            assert tau.domain() == c.variables
-            assert not c.satisfied_by(tau)
+            assert {abs(l) for l in tau} == c.variables
+            assert tau.isdisjoint(c.literals)
 
 
 class TestHypergraphOf:
@@ -180,7 +181,7 @@ class TestBruteForce:
     def test_matches_naive_enumeration(self, fstar):
         variables = sorted(fstar.variables)
         naive = sum(
-            fstar.evaluate(Assignment(dict(zip(variables, bits))))
+            fstar.evaluate(lits(zip(variables, bits)))
             for bits in itertools.product((0, 1), repeat=len(variables))
         )
         assert brute_force_count(fstar, variables) == naive == 13
@@ -188,34 +189,42 @@ class TestBruteForce:
 
 class TestEvaluate:
     def test_all_ones(self, fstar):
-        assert fstar.evaluate(Assignment({v: 1 for v in range(1, 6)})) == 1
+        assert fstar.evaluate(lits({v: 1 for v in range(1, 6)})) == 1
 
     def test_all_zeros(self, fstar):
-        assert fstar.evaluate(Assignment({v: 0 for v in range(1, 6)})) == 0
+        assert fstar.evaluate(lits({v: 0 for v in range(1, 6)})) == 0
 
     def test_mixed(self, fstar):
-        assert fstar.evaluate(Assignment({1: 0, 2: 1, 3: 1, 4: 1, 5: 0})) == 1
+        assert fstar.evaluate(lits({1: 0, 2: 1, 3: 1, 4: 1, 5: 0})) == 1
 
     def test_unbound_variable_named(self, fstar):
         with pytest.raises(ValueError, match="3"):
-            fstar.evaluate(Assignment({1: 1, 2: 1, 4: 1, 5: 1}))
+            fstar.evaluate(lits({1: 1, 2: 1, 4: 1, 5: 1}))
 
 
-class TestAssignment:
-    def test_restrict_keeps_exactly_requested(self):
-        tau = Assignment({1: 0, 2: 1, 3: 0})
-        assert tau.restrict({2, 3, 9}).domain() == {2, 3}
+FIG3 = build_fig3()
+TAKES_A_LITERAL_SET = {
+    "restrict": CnfFormula.from_ints([[1, 3]]).restrict,
+    "formula-evaluate": CnfFormula.from_ints([[1, 3]]).evaluate,
+    "circuit-evaluate": lambda tau: evaluate(FIG3, tau),
+    "condition": lambda tau: condition(FIG3, tau),
+    "rectangle": lambda tau: Rectangle({1}, {3}, [tau]),
+    "rectangle-cover": lambda tau: min_rectangle_cover([tau], {1}, {3}),
+}
 
-    def test_union_requires_agreement(self):
-        a, b = Assignment({1: 0, 2: 1}), Assignment({2: 1, 3: 0})
-        assert a.agrees_with(b)
-        assert dict(a.union(b).items()) == {1: 0, 2: 1, 3: 0}
-        with pytest.raises(ValueError):
-            a.union(Assignment({1: 1}))
 
-    def test_rejects_bad_variable_ids(self):
-        with pytest.raises(ValueError):
-            Assignment({0: 1})
+class TestLiteralSetValidation:
+    """Every public entry point that takes a partial assignment, a set of
+    true literals, refuses the literal 0 and a variable given both signs."""
+
+    @pytest.mark.parametrize("entry", sorted(TAKES_A_LITERAL_SET))
+    @pytest.mark.parametrize("tau,message", [
+        ({0, 1}, "0 is not a literal"),
+        ({1, 3, -3}, "variable 3 is both true and false"),
+    ], ids=["zero", "both-signs"])
+    def test_rejects(self, entry, tau, message):
+        with pytest.raises(ValueError, match=message):
+            TAKES_A_LITERAL_SET[entry](frozenset(tau))
 
 
 @st.composite
@@ -242,14 +251,13 @@ def test_restriction_soundness(data, salt):
     n, formula = data
     variables = list(range(1, n + 1))
     bound = [v for v in variables if (salt >> v) & 1]
-    tau = Assignment({v: (salt >> (v + 8)) & 1 for v in bound})
+    tau = lits({v: (salt >> (v + 8)) & 1 for v in bound})
     residual = formula.restrict(tau)
     free = [v for v in variables if v not in bound]
     for bits in itertools.product((0, 1), repeat=len(free)):
-        sigma = Assignment(dict(zip(free, bits)))
-        assert residual.evaluate(sigma.union(tau).restrict(residual.variables)) == formula.evaluate(
-            tau.union(sigma)
-        )
+        sigma = lits(zip(free, bits))
+        on_residual = frozenset(l for l in sigma | tau if abs(l) in residual.variables)
+        assert residual.evaluate(on_residual) == formula.evaluate(tau | sigma)
     assert residual.size <= formula.size
 
 

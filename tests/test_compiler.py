@@ -6,7 +6,6 @@ import random
 import pytest
 
 from betadnnf import (
-    Assignment,
     Clause,
     CnfFormula,
     brute_force_count,
@@ -27,7 +26,7 @@ from betadnnf.errors import NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 from betadnnf.hypergraph import EliminationOrder, beta_elimination_order, sub_hypergraph
 
-from conftest import FSTAR_EDGES, fibonacci, interval3_clauses, linear_fit_r2, transfer_count
+from conftest import FSTAR_EDGES, fibonacci, interval3_clauses, linear_fit_r2, lits, transfer_count
 
 E1, E2, E3, E4, E5 = (FSTAR_EDGES[k] for k in ("e1", "e2", "e3", "e4", "e5"))
 ORDER = EliminationOrder((1, 2, 3, 4, 5))
@@ -305,7 +304,7 @@ class TestRestrictionAbove:
     def test_cutoff(self, fstar):
         compiler = Compiler(fstar, ORDER)
         k5 = [c.sorted_literals() for c in compiler.clauses].index((2, 4, 5))
-        assert dict(falsifying_assignment(Clause(compiler.restriction_above(k5, 4))).items()) == {5: 0}
+        assert falsifying_assignment(Clause(compiler.restriction_above(k5, 4))) == lits({5: 0})
         assert len(compiler.restriction_above(k5, 5)) == 0
 
     def test_prefix_of_the_ranked_literals(self, fstar):
@@ -330,7 +329,7 @@ class TestCacheKeys:
             rank = comp.order.rank
             distinct = {
                 (c.variables,
-                 falsifying_assignment(c).restrict(v for v in c.variables if rank[v] > rank[x]),
+                 frozenset(l for l in falsifying_assignment(c) if rank[abs(l)] > rank[x]),
                  x)
                 for c in comp.clauses
                 for x in c.variables

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from betadnnf import (
-    Assignment,
     Clause,
     CnfFormula,
     hat,
@@ -28,6 +27,8 @@ from betadnnf.lowerbounds import (
     write_branch_decomposition,
     write_graph,
 )
+
+from conftest import lits
 
 SQUARE_WITH_DIAGONAL = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
 
@@ -162,7 +163,7 @@ class TestExactMimw:
 
 
 def assignments(pairs):
-    return [Assignment(dict(p)) for p in pairs]
+    return [lits(p) for p in pairs]
 
 
 class TestRectangles:

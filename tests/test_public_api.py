@@ -9,3 +9,8 @@ def test_every_exported_name_resolves():
 
 def test_vtree_and_branch_decomposition_are_one_class():
     assert betadnnf.Vtree is betadnnf.BranchDecomposition
+
+
+def test_partial_assignments_are_literal_sets():
+    assert "Assignment" not in betadnnf.__all__
+    assert betadnnf.falsifying_assignment(betadnnf.Clause([1, -3])) == frozenset({-1, 3})
