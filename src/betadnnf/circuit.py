@@ -355,10 +355,24 @@ def check_deterministic(circuit: NnfCircuit, cap: int = 20) -> bool:
 
 
 def evaluate(circuit: NnfCircuit, tau: Iterable[int]) -> int:
-    """The value under `tau`, the set of true literals, which must bind
-    every circuit variable: conditioning on it leaves one constant gate."""
-    conditioned = condition(circuit, cnf_mod._literal_set(tau, circuit.variables))
-    return int(isinstance(conditioned.gates[conditioned.output], TrueGate))
+    """Bottom-up evaluation under `tau`, the set of true literals, which
+    must bind every circuit variable."""
+    tau = cnf_mod._literal_set(tau, circuit.variables)
+    values: list[int] = []
+    for gate in circuit.gates:
+        if isinstance(gate, LiteralGate):
+            values.append(int(gate.literal in tau))
+        elif isinstance(gate, TrueGate):
+            values.append(1)
+        elif isinstance(gate, FalseGate):
+            values.append(0)
+        elif isinstance(gate, AndGate):
+            values.append(int(all(values[c] for c in gate.children)))
+        elif isinstance(gate, OrGate):
+            values.append(int(any(values[c] for c in gate.children)))
+        else:
+            values.append(values[gate.hi] if gate.variable in tau else values[gate.lo])
+    return values[circuit.output]
 
 
 def condition(circuit: NnfCircuit, tau: Iterable[int]) -> NnfCircuit:

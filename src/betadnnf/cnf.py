@@ -18,20 +18,25 @@ Literal = int
 MAX_DIMACS_LINE_BYTES = 4096
 
 
+def _checked_literals(literals: Iterable[Literal], clash: str) -> tuple[frozenset[Literal], frozenset[int]]:
+    """`literals` as a frozenset, and its variables. Raises ValueError on the
+    literal 0, or with `clash` naming a variable given both signs."""
+    lits = frozenset(literals)
+    if 0 in lits:
+        raise ValueError("0 is not a literal")
+    variables = frozenset(map(abs, lits))
+    if len(variables) < len(lits):
+        raise ValueError(clash.format(next(abs(lit) for lit in lits if -lit in lits)))
+    return lits, variables
+
+
 def _literal_set(tau: Iterable[Literal], total_over: Iterable[int] = ()) -> frozenset[Literal]:
     """A partial assignment as the frozenset of the literals it makes true.
-
-    Raises ValueError on the literal 0, on a variable given both signs, or
-    on a variable of `total_over` that `tau` leaves unbound.
-    """
-    tau = frozenset(tau)
-    if 0 in tau:
-        raise ValueError("0 is not a literal")
-    for lit in tau:
-        if -lit in tau:
-            raise ValueError(f"variable {abs(lit)} is both true and false")
+    Raises ValueError as `_checked_literals` does, or on a variable of
+    `total_over` that `tau` leaves unbound."""
+    tau, variables = _checked_literals(tau, "variable {} is both true and false")
     for v in total_over:
-        if v not in tau and -v not in tau:
+        if v not in variables:
             raise ValueError(f"variable {v} is unbound")
     return tau
 
@@ -44,17 +49,9 @@ class Clause:
     variables: frozenset[int] = field(compare=False, repr=False)
 
     def __init__(self, literals: Iterable[Literal]):
-        lits = frozenset(map(int, literals))
-        if 0 in lits:
-            raise ValueError("0 is not a literal")
-        variables = frozenset(map(abs, lits))
-        if len(variables) < len(lits):  # some v and -v: name the first met
-            seen = set()
-            for lit in lits:
-                v = abs(lit)
-                if v in seen:
-                    raise ValueError(f"tautological or duplicated variable {v} in clause")
-                seen.add(v)
+        lits, variables = _checked_literals(
+            map(int, literals), "tautological or duplicated variable {} in clause"
+        )
         object.__setattr__(self, "literals", lits)
         object.__setattr__(self, "variables", variables)
 

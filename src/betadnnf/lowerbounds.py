@@ -214,14 +214,6 @@ def exact_mimw(graph: Graph, cap: int = 8) -> tuple[int, BranchDecomposition | N
     return best[full]
 
 
-def _total_over(tau: Iterable[int], variables: frozenset[int]) -> frozenset[int]:
-    """`tau` as a literal set, which must bind exactly `variables`."""
-    tau = _literal_set(tau)
-    if {abs(l) for l in tau} != variables:
-        raise ValueError("satisfying assignments must be total over the split")
-    return tau
-
-
 @dataclass(frozen=True)
 class Rectangle:
     """Boolean function over a split variable set, given by its satisfying
@@ -236,7 +228,9 @@ class Rectangle:
         l, r = frozenset(left), frozenset(right)
         if l & r:
             raise ValueError(f"split sides overlap on {sorted(l & r)}")
-        sats = frozenset(_total_over(tau, l | r) for tau in satisfying)
+        sats = frozenset(map(_literal_set, satisfying))
+        if any({abs(lit) for lit in tau} != l | r for tau in sats):
+            raise ValueError("satisfying assignments must be total over the split")
         object.__setattr__(self, "left", l)
         object.__setattr__(self, "right", r)
         object.__setattr__(self, "satisfying", sats)
@@ -282,7 +276,8 @@ def min_rectangle_cover(
         table = truth_table_of_formula(function, variables)
         sat = {a for a in range(1 << len(variables)) if table >> a & 1}
     else:
-        sat = {sum(1 << index[l] for l in _total_over(tau, ls | rs) if l > 0) for tau in function}
+        rect = Rectangle(ls, rs, function)
+        sat = {sum(1 << index[l] for l in tau if l > 0) for tau in rect.satisfying}
     if not sat:
         return 0
     left_mask = sum(1 << index[v] for v in ls)
