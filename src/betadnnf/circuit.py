@@ -2,59 +2,53 @@
 property checkers (decomposability, decision gates, determinism,
 vtree structuredness), evaluation, conditioning, linear-time model
 counting on decision-DNNF, and a plain text file format.
+
+A gate is a tuple tagged by its NNF line letter: `("L", lit)`, `("T",)`,
+`("F",)`, `("A", children)`, `("O", children)` with children a tuple of
+gate indices, and `("D", x, hi, lo)` for `(x and hi) or (not-x and lo)`.
+The builder hash-conses on these tuples and keeps each as the gate; its
+circuits and `read_nnf`'s are well formed by construction and are not
+checked again. `NnfCircuit(...)` checks a gate list from elsewhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import combinations
+from typing import Iterable
 
 from . import cnf as cnf_mod
 from .errors import CapExceededError, CircuitPropertyError, NnfParseError
 
-
-@dataclass(frozen=True)
-class LiteralGate:
-    literal: int
-
-
-@dataclass(frozen=True)
-class TrueGate:
-    pass
-
-
-@dataclass(frozen=True)
-class FalseGate:
-    pass
-
-
-@dataclass(frozen=True)
-class AndGate:
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OrGate:
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DecisionGate:
-    """Or-gate of the shape (x and hi) or (not-x and lo), guards implicit."""
-
-    variable: int
-    hi: int
-    lo: int
-
-
-Gate = Union[LiteralGate, TrueGate, FalseGate, AndGate, OrGate, DecisionGate]
+Gate = tuple  # one of the six tagged forms above
+# the field types of each form, exactly: a bool field would be written as "True"
+_FIELDS = {"L": (int,), "T": (), "F": (), "A": (tuple,), "O": (tuple,), "D": (int, int, int)}
 
 
 def gate_children(gate: Gate) -> tuple[int, ...]:
-    if isinstance(gate, (AndGate, OrGate)):
-        return gate.children
-    if isinstance(gate, DecisionGate):
-        return (gate.hi, gate.lo)
+    tag = gate[0]
+    if tag == "D":
+        return gate[2:]
+    if tag == "A" or tag == "O":
+        return gate[1]
     return ()
+
+
+def _check_gates(gates: tuple, output: int) -> None:
+    if not (0 <= output < len(gates)):
+        raise ValueError(f"output index {output} out of range")
+    for i, gate in enumerate(gates):
+        tag = gate[0] if type(gate) is tuple and gate else None
+        fields = _FIELDS.get(tag) if type(tag) is str else None
+        if fields is None or tuple(map(type, gate[1:])) != fields or (
+                fields == (tuple,) and any(type(c) is not int for c in gate[1])):
+            raise ValueError(f"gate {i} is not one of the six gate forms: {gate!r}")
+        for c in gate_children(gate):
+            if not (0 <= c < i):
+                raise ValueError(f"gate {i} references child {c}, not strictly below it")
+        if gate[0] == "L" and gate[1] == 0:
+            raise ValueError("0 is not a literal")
+        if gate[0] == "D" and gate[1] < 1:
+            raise ValueError("decision variable ids must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,24 +67,20 @@ class NnfCircuit:
     __slots__ = ("gates", "output", "_variables", "_masks", "_decomposable", "_decision", "_reachable")
 
     def __init__(self, gates: Iterable[Gate], output: int):
-        self.gates = tuple(gates)
+        self._start(tuple(gates), output)
+        _check_gates(self.gates, output)
+
+    @classmethod
+    def _unchecked(cls, gates: tuple, output: int) -> "NnfCircuit":
+        """A circuit over gates well formed by construction: the builder's and the reader's."""
+        circuit = object.__new__(cls)
+        circuit._start(gates, output)
+        return circuit
+
+    def _start(self, gates: tuple, output: int) -> None:
+        self.gates = gates
         self.output = output
         self._variables = self._masks = self._decomposable = self._decision = self._reachable = None
-        if not (0 <= output < len(self.gates)):
-            raise ValueError(f"output index {output} out of range")
-        for i, gate in enumerate(self.gates):
-            kind = type(gate)  # one dispatch per gate; traces are almost all decision gates
-            if kind is DecisionGate:
-                kids = gate.hi, gate.lo
-            else:
-                kids = gate.children if kind is AndGate or kind is OrGate else ()
-            for c in kids:
-                if not (0 <= c < i):
-                    raise ValueError(f"gate {i} references child {c}, not strictly below it")
-            if kind is LiteralGate and gate.literal == 0:
-                raise ValueError("0 is not a literal")
-            if kind is DecisionGate and gate.variable < 1:
-                raise ValueError("decision variable ids must be >= 1")
 
     @property
     def size(self) -> int:
@@ -99,14 +89,8 @@ class NnfCircuit:
     @property
     def variables(self) -> frozenset[int]:
         """All variables labelling inputs anywhere in the circuit."""
-        if self._variables is None:
-            out: set[int] = set()
-            for gate in self.gates:
-                if isinstance(gate, LiteralGate):
-                    out.add(abs(gate.literal))
-                elif isinstance(gate, DecisionGate):
-                    out.add(gate.variable)
-            self._variables = frozenset(out)
+        if self._variables is None:  # a literal's variable, or a decision's, which is positive
+            self._variables = frozenset(abs(g[1]) for g in self.gates if g[0] == "L" or g[0] == "D")
         return self._variables
 
     @property
@@ -139,49 +123,47 @@ class NnfCircuit:
 
 
 class CircuitBuilder:
-    """Hash-consing constructor keyed by gate class and fields: equal gates are made once."""
+    """Hash-consing constructor: a gate tuple is its own key, so equal gates are made once."""
 
     def __init__(self):
         self._gates: list[Gate] = []
-        self._index: dict[tuple, int] = {}
+        self._index: dict[Gate, int] = {}
 
-    def _add(self, *key) -> int:
-        found = self._index.get(key)
+    def _add(self, *gate) -> int:
+        found = self._index.get(gate)
         if found is None:
-            found = self._index[key] = len(self._gates)
-            self._gates.append(key[0](*key[1:]))
+            found = self._index[gate] = len(self._gates)
+            self._gates.append(gate)
         return found
 
     def literal(self, lit: int) -> int:
-        return self._add(LiteralGate, lit)
+        return self._add("L", lit)
 
     def true(self) -> int:
-        return self._add(TrueGate)
+        return self._add("T")
 
     def false(self) -> int:
-        return self._add(FalseGate)
+        return self._add("F")
 
     def and_(self, children: Iterable[int]) -> int:
-        kids = tuple(dict.fromkeys(children))
-        if not kids:
-            return self.true()
-        if len(kids) == 1:
-            return kids[0]
-        return self._add(AndGate, kids)
+        return self._join("A", children)
 
     def or_(self, children: Iterable[int]) -> int:
+        return self._join("O", children)
+
+    def _join(self, tag: str, children: Iterable[int]) -> int:
+        """An "A" or "O" gate over the distinct children: one is itself, none the gate's unit."""
         kids = tuple(dict.fromkeys(children))
-        if not kids:
-            return self.false()
-        if len(kids) == 1:
-            return kids[0]
-        return self._add(OrGate, kids)
+        if len(kids) > 1:
+            return self._add(tag, kids)
+        return kids[0] if kids else self._add("T" if tag == "A" else "F")
 
     def decision(self, variable: int, hi: int, lo: int) -> int:
         # `_add` without its argument packing, as traces make mostly decision gates
-        found = self._index.setdefault((DecisionGate, variable, hi, lo), len(self._gates))
+        gate = ("D", variable, hi, lo)
+        found = self._index.setdefault(gate, len(self._gates))
         if found == len(self._gates):
-            self._gates.append(DecisionGate(variable, hi, lo))
+            self._gates.append(gate)
         return found
 
     def gate(self, index: int) -> Gate:
@@ -191,7 +173,7 @@ class CircuitBuilder:
         return len(self._gates)
 
     def build(self, output: int) -> NnfCircuit:
-        return NnfCircuit(self._gates, output)
+        return NnfCircuit._unchecked(tuple(self._gates), output)
 
 
 def _variable_masks(circuit: NnfCircuit) -> tuple[list[int], list[int]]:
@@ -202,10 +184,11 @@ def _variable_masks(circuit: NnfCircuit) -> tuple[list[int], list[int]]:
     position = {v: i for i, v in enumerate(order)}
     masks: list[int] = []
     for gate in circuit.gates:
-        if isinstance(gate, LiteralGate):
-            masks.append(1 << position[abs(gate.literal)])
-        elif isinstance(gate, DecisionGate):
-            masks.append((1 << position[gate.variable]) | masks[gate.hi] | masks[gate.lo])
+        tag = gate[0]
+        if tag == "D":
+            masks.append((1 << position[gate[1]]) | masks[gate[2]] | masks[gate[3]])
+        elif tag == "L":
+            masks.append(1 << position[abs(gate[1])])
         else:
             acc = 0
             for c in gate_children(gate):
@@ -227,18 +210,19 @@ def _decode(order: list[int], mask: int) -> frozenset[int]:
 def _decomposability_violation(circuit: NnfCircuit) -> Violation | None:
     order, masks = _kept_masks(circuit)
     for i, gate in enumerate(circuit.gates):
-        if isinstance(gate, AndGate):
+        tag = gate[0]
+        if tag == "A":
             union = 0
-            for c in dict.fromkeys(gate.children):
+            for c in dict.fromkeys(gate[1]):
                 overlap = union & masks[c]
                 if overlap:  # report the smallest shared variable, the lowest bit
                     v = order[(overlap & -overlap).bit_length() - 1]
                     return Violation(i, f"and-gate children share variable {v}")
                 union |= masks[c]
-        elif isinstance(gate, DecisionGate):
+        elif tag == "D":
             # equal exactly when a branch already holds the decision variable
-            if masks[i] == masks[gate.hi] | masks[gate.lo]:
-                return Violation(i, f"decision variable {gate.variable} reappears in a branch")
+            if masks[i] == masks[gate[2]] | masks[gate[3]]:
+                return Violation(i, f"decision variable {gate[1]} reappears in a branch")
     return None
 
 
@@ -262,24 +246,18 @@ def decision_parts(circuit: NnfCircuit, gate_index: int) -> tuple[int, int, int]
     conjunction guarded by one literal, the two guards being x and not-x.
     """
     gate = circuit.gates[gate_index]
-    if isinstance(gate, DecisionGate):
-        return gate.variable, gate.hi, gate.lo
-    if not isinstance(gate, OrGate) or len(gate.children) != 2:
+    if gate[0] == "D":
+        return gate[1:]
+    if gate[0] != "O" or len(gate[1]) != 2:
         return None
 
     def guard_options(child: int) -> list[tuple[int, int]]:
         g = circuit.gates[child]
-        if not isinstance(g, AndGate) or len(g.children) != 2:
-            return []
-        options = []
-        for k in range(2):
-            guard = circuit.gates[g.children[k]]
-            if isinstance(guard, LiteralGate):
-                options.append((guard.literal, g.children[1 - k]))
-        return options
+        pair = g[1] if g[0] == "A" and len(g[1]) == 2 else ()
+        return [(circuit.gates[k][1], pair[1 - j]) for j, k in enumerate(pair) if circuit.gates[k][0] == "L"]
 
-    for lit_a, body_a in guard_options(gate.children[0]):
-        for lit_b, body_b in guard_options(gate.children[1]):
+    for lit_a, body_a in guard_options(gate[1][0]):
+        for lit_b, body_b in guard_options(gate[1][1]):
             if lit_a == -lit_b:
                 if lit_a > 0:
                     return lit_a, body_a, body_b
@@ -292,7 +270,7 @@ def check_decision(circuit: NnfCircuit) -> tuple[bool, Violation | None]:
     if circuit._decision is None:
         verdict = True, None
         for i, gate in enumerate(circuit.gates):
-            if isinstance(gate, OrGate) and decision_parts(circuit, i) is None:
+            if gate[0] == "O" and decision_parts(circuit, i) is None:
                 verdict = False, Violation(i, "or-gate is not a decision gate")
                 break
         circuit._decision = verdict
@@ -309,26 +287,25 @@ def truth_tables(circuit: NnfCircuit, variables: Iterable[int]) -> list[int]:
     full = (1 << (1 << len(ordered))) - 1
     tables: list[int] = []
     for gate in circuit.gates:
-        if isinstance(gate, LiteralGate):
-            m = masks[abs(gate.literal)]
-            tables.append(m if gate.literal > 0 else full & ~m)
-        elif isinstance(gate, TrueGate):
-            tables.append(full)
-        elif isinstance(gate, FalseGate):
-            tables.append(0)
-        elif isinstance(gate, AndGate):
+        tag = gate[0]
+        if tag == "L":
+            m = masks[abs(gate[1])]
+            tables.append(m if gate[1] > 0 else full & ~m)
+        elif tag == "T" or tag == "F":
+            tables.append(full if tag == "T" else 0)
+        elif tag == "A":
             acc = full
-            for c in gate.children:
+            for c in gate[1]:
                 acc &= tables[c]
             tables.append(acc)
-        elif isinstance(gate, OrGate):
+        elif tag == "O":
             acc = 0
-            for c in gate.children:
+            for c in gate[1]:
                 acc |= tables[c]
             tables.append(acc)
         else:
-            m = masks[gate.variable]
-            tables.append((m & tables[gate.hi]) | ((full & ~m) & tables[gate.lo]))
+            m = masks[gate[1]]
+            tables.append((m & tables[gate[2]]) | ((full & ~m) & tables[gate[3]]))
     return tables
 
 
@@ -341,16 +318,14 @@ def check_deterministic(circuit: NnfCircuit, cap: int = 20) -> bool:
     n = len(circuit.variables)
     if n > cap:
         raise CapExceededError(f"{n} variables exceed the determinism cap of {cap}", cap)
-    or_gates = [g for g in circuit.gates if isinstance(g, OrGate)]
+    or_gates = [g for g in circuit.gates if g[0] == "O"]
     if not or_gates:
         return True
     tables = truth_tables(circuit, circuit.variables)
     for gate in or_gates:
-        kids = gate.children
-        for a in range(len(kids)):
-            for b in range(a + 1, len(kids)):
-                if kids[a] != kids[b] and tables[kids[a]] & tables[kids[b]]:
-                    return False
+        for a, b in combinations(gate[1], 2):
+            if a != b and tables[a] & tables[b]:
+                return False
     return True
 
 
@@ -360,18 +335,19 @@ def evaluate(circuit: NnfCircuit, tau: Iterable[int]) -> int:
     tau = cnf_mod._literal_set(tau, circuit.variables)
     values: list[int] = []
     for gate in circuit.gates:
-        if isinstance(gate, LiteralGate):
-            values.append(int(gate.literal in tau))
-        elif isinstance(gate, TrueGate):
+        tag = gate[0]
+        if tag == "L":
+            values.append(int(gate[1] in tau))
+        elif tag == "T":
             values.append(1)
-        elif isinstance(gate, FalseGate):
+        elif tag == "F":
             values.append(0)
-        elif isinstance(gate, AndGate):
-            values.append(int(all(values[c] for c in gate.children)))
-        elif isinstance(gate, OrGate):
-            values.append(int(any(values[c] for c in gate.children)))
+        elif tag == "A":
+            values.append(int(all(values[c] for c in gate[1])))
+        elif tag == "O":
+            values.append(int(any(values[c] for c in gate[1])))
         else:
-            values.append(values[gate.hi] if gate.variable in tau else values[gate.lo])
+            values.append(values[gate[2]] if gate[1] in tau else values[gate[3]])
     return values[circuit.output]
 
 
@@ -381,38 +357,28 @@ def condition(circuit: NnfCircuit, tau: Iterable[int]) -> NnfCircuit:
     builder = CircuitBuilder()
     remap: list[int] = []
     for gate in circuit.gates:
-        if isinstance(gate, LiteralGate):
-            if gate.literal in tau:
-                remap.append(builder.true())
-            elif -gate.literal in tau:
-                remap.append(builder.false())
+        tag = gate[0]
+        if tag == "L" and (gate[1] in tau or -gate[1] in tau):
+            remap.append(builder._add("T" if gate[1] in tau else "F"))
+        elif tag == "L" or tag == "T" or tag == "F":  # a free literal or a constant, as it stands
+            remap.append(builder._add(*gate))
+        elif tag == "A" or tag == "O":
+            # "F" decides an and-gate and "T" an or-gate; the other constant drops out
+            decides = "F" if tag == "A" else "T"
+            kids = [remap[c] for c in gate[1]]
+            tags = [builder.gate(k)[0] for k in kids]
+            if decides in tags:
+                remap.append(builder._add(decides))
             else:
-                remap.append(builder.literal(gate.literal))
-        elif isinstance(gate, TrueGate):
-            remap.append(builder.true())
-        elif isinstance(gate, FalseGate):
-            remap.append(builder.false())
-        elif isinstance(gate, AndGate):
-            kids = [remap[c] for c in gate.children]
-            if any(isinstance(builder.gate(k), FalseGate) for k in kids):
-                remap.append(builder.false())
-                continue
-            kids = [k for k in kids if not isinstance(builder.gate(k), TrueGate)]
-            remap.append(builder.and_(kids))
-        elif isinstance(gate, OrGate):
-            kids = [remap[c] for c in gate.children]
-            if any(isinstance(builder.gate(k), TrueGate) for k in kids):
-                remap.append(builder.true())
-                continue
-            kids = [k for k in kids if not isinstance(builder.gate(k), FalseGate)]
-            remap.append(builder.or_(kids))
+                remap.append(builder._join(tag, [k for k, t in zip(kids, tags) if t != "T" and t != "F"]))
         else:
-            if gate.variable in tau:
-                remap.append(remap[gate.hi])
-            elif -gate.variable in tau:
-                remap.append(remap[gate.lo])
+            _, x, hi, lo = gate
+            if x in tau:
+                remap.append(remap[hi])
+            elif -x in tau:
+                remap.append(remap[lo])
             else:
-                remap.append(builder.decision(gate.variable, remap[gate.hi], remap[gate.lo]))
+                remap.append(builder.decision(x, remap[hi], remap[lo]))
     return prune_unreachable(builder.build(remap[circuit.output]))
 
 
@@ -427,18 +393,18 @@ def prune_unreachable(circuit: NnfCircuit) -> NnfCircuit:
             for c in gate_children(circuit.gates[i]):
                 reached[c] = 1
     if reached.count(1) < circuit.size:
-        keep = [i for i in range(circuit.output + 1) if reached[i]]
-        new_index = {old: new for new, old in enumerate(keep)}
+        new_index = [0] * (circuit.output + 1)
         gates: list[Gate] = []
-        for old in keep:
-            gate = circuit.gates[old]
-            if isinstance(gate, (AndGate, OrGate)):
-                gates.append(type(gate)(tuple(new_index[c] for c in gate.children)))
-            elif isinstance(gate, DecisionGate):
-                gates.append(DecisionGate(gate.variable, new_index[gate.hi], new_index[gate.lo]))
-            else:
+        for old, gate in enumerate(circuit.gates[:circuit.output + 1]):
+            if reached[old]:
+                new_index[old] = len(gates)
+                tag = gate[0]
+                if tag == "D":
+                    gate = ("D", gate[1], new_index[gate[2]], new_index[gate[3]])
+                elif tag == "A" or tag == "O":
+                    gate = (tag, tuple([new_index[c] for c in gate[1]]))
                 gates.append(gate)
-        circuit = NnfCircuit(gates, new_index[circuit.output])
+        circuit = NnfCircuit._unchecked(tuple(gates), len(gates) - 1)  # the output is the last gate kept
     circuit._reachable = True
     return circuit
 
@@ -465,21 +431,20 @@ def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
         raise CircuitPropertyError(f"not a decision circuit: gate {violation.gate}, {violation.reason}")
     counts: list[int] = []
     for i, gate in enumerate(circuit.gates):
-        if isinstance(gate, (LiteralGate, TrueGate)):
-            counts.append(1)
-        elif isinstance(gate, FalseGate):
-            counts.append(0)
-        elif isinstance(gate, AndGate):
-            n = 1
-            for c in dict.fromkeys(gate.children):
-                n *= counts[c]
-            counts.append(n)
-        else:
-            _, hi, lo = decision_parts(circuit, i)
+        tag = gate[0]
+        if tag == "D" or tag == "O":  # an or-gate passed `check_decision`, so it has decision shape
+            _, hi, lo = gate[1:] if tag == "D" else decision_parts(circuit, i)
             here = masks[i].bit_count()
             gap_hi = here - 1 - masks[hi].bit_count()
             gap_lo = here - 1 - masks[lo].bit_count()
             counts.append(counts[hi] * (1 << gap_hi) + counts[lo] * (1 << gap_lo))
+        elif tag == "A":
+            n = 1
+            for c in dict.fromkeys(gate[1]):
+                n *= counts[c]
+            counts.append(n)
+        else:
+            counts.append(0 if tag == "F" else 1)
     outside = len(target) - masks[circuit.output].bit_count()
     return counts[circuit.output] << outside
 
@@ -496,16 +461,15 @@ def is_satisfiable(circuit: NnfCircuit) -> tuple[bool, frozenset[int] | None]:
         raise CircuitPropertyError(f"not decomposable: gate {violation.gate}, {violation.reason}")
     sat: list[bool] = []
     for gate in circuit.gates:
-        if isinstance(gate, (LiteralGate, TrueGate)):
-            sat.append(True)
-        elif isinstance(gate, FalseGate):
-            sat.append(False)
-        elif isinstance(gate, AndGate):
-            sat.append(all(sat[c] for c in gate.children))
-        elif isinstance(gate, OrGate):
-            sat.append(any(sat[c] for c in gate.children))
+        tag = gate[0]
+        if tag == "D":
+            sat.append(sat[gate[2]] or sat[gate[3]])
+        elif tag == "A":
+            sat.append(all(sat[c] for c in gate[1]))
+        elif tag == "O":
+            sat.append(any(sat[c] for c in gate[1]))
         else:
-            sat.append(sat[gate.hi] or sat[gate.lo])
+            sat.append(tag != "F")
     if not sat[circuit.output]:
         return False, None
     chosen: dict[int, int] = {}  # variable -> its true literal
@@ -513,19 +477,17 @@ def is_satisfiable(circuit: NnfCircuit) -> tuple[bool, frozenset[int] | None]:
     while stack:
         i = stack.pop()
         gate = circuit.gates[i]
-        if isinstance(gate, LiteralGate):
-            chosen.setdefault(abs(gate.literal), gate.literal)
-        elif isinstance(gate, AndGate):
-            stack.extend(gate.children)
-        elif isinstance(gate, OrGate):
-            stack.append(next(c for c in gate.children if sat[c]))
-        elif isinstance(gate, DecisionGate):
-            if sat[gate.hi]:
-                chosen.setdefault(gate.variable, gate.variable)
-                stack.append(gate.hi)
-            else:
-                chosen.setdefault(gate.variable, -gate.variable)
-                stack.append(gate.lo)
+        tag = gate[0]
+        if tag == "L":
+            chosen.setdefault(abs(gate[1]), gate[1])
+        elif tag == "A":
+            stack.extend(gate[1])
+        elif tag == "O":
+            stack.append(next(c for c in gate[1] if sat[c]))
+        elif tag == "D":
+            _, x, hi, lo = gate
+            chosen.setdefault(x, x if sat[hi] else -x)
+            stack.append(hi if sat[hi] else lo)
     for v in circuit.output_variables:
         chosen.setdefault(v, -v)
     return True, frozenset(chosen.values())
@@ -620,15 +582,16 @@ def respects_vtree(circuit: NnfCircuit, vtree: Vtree) -> tuple[bool, Violation |
         )
 
     for i, gate in enumerate(circuit.gates):
-        if isinstance(gate, AndGate):
-            if len(gate.children) != 2:
-                return False, Violation(i, f"and-gate has fanin {len(gate.children)}, not 2")
-            a, b = (masks[c] for c in gate.children)
+        tag = gate[0]
+        if tag == "A":
+            if len(gate[1]) != 2:
+                return False, Violation(i, f"and-gate has fanin {len(gate[1])}, not 2")
+            a, b = (masks[c] for c in gate[1])
             if not splittable(a, b):
                 return False, Violation(i, "no vtree node splits this and-gate")
-        elif isinstance(gate, DecisionGate):
-            guard = 1 << position[gate.variable]
-            for branch in (gate.hi, gate.lo):
+        elif tag == "D":
+            guard = 1 << position[gate[1]]
+            for branch in gate[2:]:
                 if not splittable(guard, masks[branch]):
                     return False, Violation(i, "no vtree node splits a decision guard")
     return True, None
@@ -653,19 +616,21 @@ def write_nnf(circuit: NnfCircuit) -> str:
     pruned = prune_unreachable(circuit)
     lines, edges, max_var = [""], 0, 0  # the header goes first once the pass has counted
     for gate in pruned.gates:  # one pass: emit, count edges, track the largest variable
-        kind = type(gate)
-        if kind is DecisionGate:
-            lines.append(f"D {gate.variable} {gate.hi} {gate.lo}")
+        tag = gate[0]
+        if tag == "D":
+            _, x, hi, lo = gate
+            lines.append(f"D {x} {hi} {lo}")
             edges += 2
-            max_var = max(max_var, gate.variable)
-        elif kind is LiteralGate:
-            lines.append(f"L {gate.literal}")
-            max_var = max(max_var, abs(gate.literal))
-        elif kind is AndGate or kind is OrGate:
-            lines.append(("A " if kind is AndGate else "O ") + " ".join(map(str, (len(gate.children),) + gate.children)))
-            edges += len(gate.children)
+            max_var = max(max_var, x)
+        elif tag == "L":
+            lines.append(f"L {gate[1]}")
+            max_var = max(max_var, abs(gate[1]))
+        elif tag == "A" or tag == "O":
+            kids = gate[1]
+            lines.append(" ".join(map(str, (tag, len(kids), *kids))))
+            edges += len(kids)
         else:
-            lines.append("T" if kind is TrueGate else "F")
+            lines.append(tag)
     lines[0] = f"nnf {pruned.size} {edges} {max_var}"
     return "\n".join(lines) + "\n"
 
@@ -715,25 +680,23 @@ def read_nnf(text: str | bytes) -> NnfCircuit:
             lit = _integer(fields[1], "literal", lineno)
             if lit == 0 or abs(lit) > n_vars:
                 raise NnfParseError(f"literal {lit} out of range 1..{n_vars}", lineno)
-            gates.append(LiteralGate(lit))
-        elif kind == "T" and len(fields) == 1:
-            gates.append(TrueGate())
-        elif kind == "F" and len(fields) == 1:
-            gates.append(FalseGate())
+            gates.append(("L", lit))
+        elif kind in ("T", "F") and len(fields) == 1:
+            gates.append((kind,))
         elif kind in ("A", "O") and len(fields) >= 2:
             count = _integer(fields[1], "fanin count", lineno)
             if count != len(fields) - 2:
                 raise NnfParseError(f"{kind}-gate declares {count} children, lists {len(fields) - 2}", lineno)
             kids = tuple(child(t) for t in fields[2:])
             seen_edges += len(kids)
-            gates.append(AndGate(kids) if kind == "A" else OrGate(kids))
+            gates.append((kind, kids))
         elif kind == "D" and len(fields) == 4:
             x = _integer(fields[1], "decision variable", lineno)
             if not (1 <= x <= n_vars):
                 raise NnfParseError(f"decision variable {x} out of range 1..{n_vars}", lineno)
             hi, lo = child(fields[2]), child(fields[3])
             seen_edges += 2
-            gates.append(DecisionGate(x, hi, lo))
+            gates.append(("D", x, hi, lo))
         else:
             raise NnfParseError(f"unrecognized gate line {stripped!r}", lineno)
     if len(gates) != n_gates:
@@ -742,7 +705,7 @@ def read_nnf(text: str | bytes) -> NnfCircuit:
         raise NnfParseError(f"header declares {n_edges} child edges, found {seen_edges}", lineno)
     if not gates:
         raise NnfParseError("a circuit needs at least one gate", lineno)
-    return NnfCircuit(gates, len(gates) - 1)
+    return NnfCircuit._unchecked(tuple(gates), len(gates) - 1)  # every line was checked above
 
 
 def read_nnf_file(path) -> NnfCircuit:

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .circuit import AndGate, CircuitBuilder, NnfCircuit, prune_unreachable
+from .circuit import CircuitBuilder, NnfCircuit, prune_unreachable
 from .cnf import Clause, CnfFormula, hypergraph_of
 from .hypergraph import EdgeOrder, EliminationOrder, beta_condition_violation
 
@@ -303,10 +303,7 @@ class Compiler:
             raise AssertionError(f"{circuit.size} gates exceed the size bound {bound}")
         report = CompileReport(
             gates=circuit.size,
-            and_fanin_max=max(
-                (len(g.children) for g in circuit.gates if isinstance(g, AndGate)),
-                default=0,
-            ),
+            and_fanin_max=max((len(g[1]) for g in circuit.gates if g[0] == "A"), default=0),
             clause_counts=self.clause_counts,
             elimination_order=self.order.sequence,
             wall_time_seconds=time.perf_counter() - start,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from betadnnf.circuit import (
+from gate_reference import (
     AndGate,
     DecisionGate,
     FalseGate,

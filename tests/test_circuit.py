@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,12 +28,8 @@ from betadnnf import (
 from betadnnf import circuit as circuit_mod
 from betadnnf.cli import main
 from betadnnf.circuit import (
-    AndGate,
     CircuitBuilder,
-    DecisionGate,
-    LiteralGate,
     NnfCircuit,
-    TrueGate,
     Violation,
     Vtree,
     condition,
@@ -49,6 +46,7 @@ from betadnnf.dpll import OrderStrategy, search
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 
 import builder_reference
+import gate_reference
 from conftest import FSTAR_DIMACS, lits
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -102,9 +100,7 @@ class TestChecks:
         assert check_deterministic(circuit)
 
     def test_single_child_or_is_deterministic(self):
-        from betadnnf.circuit import LiteralGate, OrGate
-
-        circuit = NnfCircuit([LiteralGate(1), OrGate((0,))], 1)
+        circuit = NnfCircuit([("L", 1), ("O", (0,))], 1)
         assert check_deterministic(circuit)
 
     def test_determinism_cap(self, fig3):
@@ -277,14 +273,15 @@ class TestVtree:
                 return any((a <= l and b <= r) or (a <= r and b <= l) for l, r in splits)
 
             for i, gate in enumerate(circuit.gates):
-                if isinstance(gate, AndGate):
-                    if len(gate.children) != 2:
-                        return False, Violation(i, f"and-gate has fanin {len(gate.children)}, not 2")
-                    if not splittable(*(varsets[c] for c in gate.children)):
+                if gate[0] == "A":
+                    if len(gate[1]) != 2:
+                        return False, Violation(i, f"and-gate has fanin {len(gate[1])}, not 2")
+                    if not splittable(*(varsets[c] for c in gate[1])):
                         return False, Violation(i, "no vtree node splits this and-gate")
-                elif isinstance(gate, DecisionGate):
-                    for branch in (gate.hi, gate.lo):
-                        if not splittable(frozenset((gate.variable,)), varsets[branch]):
+                elif gate[0] == "D":
+                    _, x, hi, lo = gate
+                    for branch in (hi, lo):
+                        if not splittable(frozenset((x,)), varsets[branch]):
                             return False, Violation(i, "no vtree node splits a decision guard")
             return True, None
 
@@ -401,10 +398,10 @@ def reference_varsets(circuit: NnfCircuit) -> list[frozenset[int]]:
                 continue
             seen.add(i)
             gate = circuit.gates[i]
-            if isinstance(gate, LiteralGate):
-                found.add(abs(gate.literal))
-            elif isinstance(gate, DecisionGate):
-                found.add(gate.variable)
+            if gate[0] == "L":
+                found.add(abs(gate[1]))
+            elif gate[0] == "D":
+                found.add(gate[1])
             stack.extend(gate_children(gate))
         out.append(frozenset(found))
     return out
@@ -450,7 +447,7 @@ class TestVariableSets:
     @pytest.mark.parametrize("hi,lo", [(0, 1), (2, 0)])
     def test_reused_decision_variable(self, hi, lo):
         # gates x2, true, x5, then a decision on 2 with x2 as one branch
-        gates = [LiteralGate(2), TrueGate(), LiteralGate(5), DecisionGate(2, hi, lo)]
+        gates = [("L", 2), ("T",), ("L", 5), ("D", 2, hi, lo)]
         circuit = NnfCircuit(gates, 3)
         reason = "decision variable 2 reappears in a branch"
         assert check_decomposable(circuit) == (False, Violation(3, reason))
@@ -486,10 +483,82 @@ class TestPrune:
                 assert prune_unreachable(NnfCircuit(circuit.gates, circuit.output)) == circuit
 
     def test_unreachable_gates_are_dropped(self):
-        circuit = NnfCircuit([LiteralGate(1), LiteralGate(-1), LiteralGate(2), AndGate((0, 2))], 3)
-        assert prune_unreachable(circuit) == NnfCircuit(
-            [LiteralGate(1), LiteralGate(2), AndGate((0, 1))], 2)
-        assert prune_unreachable(circuit.root_at(2)) == NnfCircuit([LiteralGate(2)], 0)
+        circuit = NnfCircuit([("L", 1), ("L", -1), ("L", 2), ("A", (0, 2))], 3)
+        assert prune_unreachable(circuit) == NnfCircuit([("L", 1), ("L", 2), ("A", (0, 1))], 2)
+        assert prune_unreachable(circuit.root_at(2)) == NnfCircuit([("L", 2)], 0)
+
+
+def random_gate_objects(rng: random.Random) -> tuple[list, int]:
+    """A gate list of the reference's gate objects with int fields, and an
+    output index. Children, literals, decision variables and the output are
+    each out of range now and then."""
+    ref = gate_reference
+    gates = []
+    for i in range(rng.randint(1, 6)):
+        child = lambda: rng.randrange(i) if i and rng.random() < 0.93 else rng.randint(-2, i + 1)
+        kind = rng.randrange(6)
+        if kind == 0:
+            gates.append(ref.LiteralGate(rng.choice((-3, -2, -1, 0, 1, 2, 3))))
+        elif kind in (1, 2):
+            gates.append(ref.TrueGate() if kind == 1 else ref.FalseGate())
+        elif kind in (3, 4):
+            kids = tuple(child() for _ in range(rng.randint(0, 3)))
+            gates.append(ref.AndGate(kids) if kind == 3 else ref.OrGate(kids))
+        else:
+            x = rng.randint(1, 4) if rng.random() < 0.85 else rng.randint(-2, 0)
+            gates.append(ref.DecisionGate(x, child(), child()))
+    return gates, rng.randint(-1, len(gates)) if rng.random() < 0.1 else len(gates) - 1
+
+
+class TestConstructorCheck:
+    """`NnfCircuit(...)` checks a gate list from outside: the same verdicts
+    and messages as the check on gate objects, and a non-gate is refused."""
+
+    def test_matches_the_gate_object_check(self):
+        def verdict(make):
+            try:
+                make()
+            except ValueError as error:
+                return str(error)
+            return None
+
+        rng = random.Random(16)
+        seen = Counter()
+        for _ in range(20_000):
+            gates, output = random_gate_objects(rng)
+            expected = verdict(lambda: gate_reference.NnfCircuit(gates, output))
+            got = verdict(lambda: NnfCircuit(map(gate_reference.as_tuple, gates), output))
+            assert got == expected, (gates, output)
+            seen[expected and expected.split()[0]] += 1
+        # every verdict is met often: accepted, and each of the four refusals
+        assert len(seen) == 5 and min(seen.values()) > 500, seen
+
+    def test_builder_and_reader_circuits_are_not_checked_again(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(circuit_mod, "_check_gates", lambda *args: checked.append(args))
+        formula = parse_dimacs(FSTAR_DIMACS)
+        compiled = compile_cnf(formula)[0]
+        trace_to_circuit(formula)
+        read = read_nnf(write_nnf(compiled))
+        condition(read, lits({1: 1}))
+        prune_unreachable(read.root_at(read.output - 1))
+        assert len(checked) == 1  # `root_at`, from outside the builder and the reader
+        NnfCircuit(read.gates, read.output)
+        assert len(checked) == 2
+
+    @pytest.mark.parametrize("gate", [
+        pytest.param(object(), id="not-a-tuple"),
+        pytest.param((), id="empty-tuple"),
+        pytest.param(("X", 0), id="unknown-tag"),
+        pytest.param(("D", 1, 0), id="wrong-length"),
+        pytest.param(("L", "1"), id="non-int-field"),
+        pytest.param(("L", True), id="bool-field"),
+        pytest.param(("A", [0]), id="children-not-a-tuple"),
+        pytest.param(("O", (0, 0.0)), id="non-int-child"),
+    ])
+    def test_refuses_a_non_gate_by_its_index(self, gate):
+        with pytest.raises(ValueError, match=r"^gate 1 is not one of the six gate forms"):
+            NnfCircuit([("L", 1), gate, ("A", (0, 1))], 2)
 
 
 class GateReads(tuple):
@@ -580,7 +649,7 @@ class TestKeptFacts:
             assert len(reads) == circuit.size  # one read per gate written, and no walk
 
     def test_pruning_marks_its_result(self):
-        circuit = NnfCircuit([LiteralGate(1), LiteralGate(-1), LiteralGate(2), AndGate((0, 2))], 3)
+        circuit = NnfCircuit([("L", 1), ("L", -1), ("L", 2), ("A", (0, 2))], 3)
         pruned = prune_unreachable(circuit)
         reads = []
         pruned.gates = GateReads(pruned.gates, reads)
@@ -622,7 +691,8 @@ def drive(builder, calls) -> list[int]:
 
 
 class TestBuilderAgainstReference:
-    """The tuple-keyed builder against the builder that keyed gate objects."""
+    """The tuple builder against the builder that keyed gate objects, through
+    the map from each gate object to its tuple."""
 
     @given(BUILDER_CALLS)
     @example([("literal", 1), ("and_", [0, 0, 1, 1]), ("and_", []), ("and_", [1]), ("or_", []),
@@ -634,9 +704,11 @@ class TestBuilderAgainstReference:
         assert ids == drive(reference, calls)
         assert len(builder) == len(reference)
         assert [builder.gate(i) for i in range(len(builder))] == [
-            reference.gate(i) for i in range(len(reference))]
+            gate_reference.as_tuple(reference.gate(i)) for i in range(len(reference))]
         for i in set(ids):
-            assert builder.build(i) == reference.build(i)
+            expected = reference.build(i)
+            # the public constructor checks the builder's gates and accepts them
+            assert builder.build(i) == NnfCircuit(map(gate_reference.as_tuple, expected.gates), expected.output)
 
 
 INT = st.one_of(st.integers(-3, 12), st.integers(-10**30, 10**30),

@@ -37,3 +37,17 @@ def test_target_resolves(module, attr):
         tracer.uninstall()
     assert len(wrapped) == 1 and callable(wrapped[0])
     assert bindings >= 1
+
+
+@pytest.mark.parametrize("gate, children", [
+    (("L", -3), ()),
+    (("T",), ()),
+    (("F",), ()),
+    (("A", (0, 2, 5)), (0, 2, 5)),
+    (("O", (1,)), (1,)),
+    (("D", 4, 2, 0), (2, 0)),
+])
+def test_gate_children_of_each_form(gate, children):
+    """`Tracer._after_write_nnf` counts child edges through `gate_children`."""
+    circuit = importlib.import_module(f"{tracing.PACKAGE}.circuit")
+    assert circuit.gate_children(gate) == children

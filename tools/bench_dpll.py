@@ -3,9 +3,12 @@
 For each family and size: seconds of `count_dpll` and of a traced
 `search`, the tracemalloc peak of a traced search, and its `DpllStats`;
 per family, the least-squares slope of log(seconds) and log(peak) over
-log(size). Each source tree is measured in a fresh interpreter. With
-`--baseline REV`, the tree of that commit is extracted by `git archive`
-into a temporary directory and measured first, as the "before" rows.
+log(size). Every measurement runs in a fresh interpreter, and a row keeps
+the least seconds and peak of its repeats. With `--baseline REV`, the
+tree of that commit is extracted by `git archive` into a temporary
+directory as the "before" tree. Each repeat then measures the two trees
+back to back, the first of them alternating, so that a drift of the
+host's speed reaches both trees alike.
 
     python3 tools/bench_dpll.py --baseline 8a6bcd1 -o BENCH_dpll.json
 
@@ -31,7 +34,7 @@ FAMILIES = {
     "interval3": (300, 600, 1200, 2400),
     "wide": (800, 1600, 3200),
 }
-TIME_BUDGET_S = 2.0  # repeat a timing, up to 3 runs, while the runs total less
+REPEATS = 3
 
 
 def clauses_of(family: str, n: int) -> list[list[int]]:
@@ -44,81 +47,101 @@ def clauses_of(family: str, n: int) -> list[list[int]]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def best_seconds(run) -> float:
-    times: list[float] = []
-    while len(times) < 3 and sum(times) < TIME_BUDGET_S:
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def slope(xs, ys) -> float:
     lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
     mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
     return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
 
 
-def measure() -> dict:
-    """Rows and exponents for the `betadnnf` found on sys.path."""
+def measure(family: str, n: int) -> dict:
+    """One timing of each kind, the peak and the stats for the `betadnnf`
+    found on sys.path. An untimed count first computes the formula's
+    elimination order, which the formula keeps."""
     from betadnnf import CnfFormula
     from betadnnf.dpll import OrderStrategy, count_dpll, search
 
     strategy = OrderStrategy.reverse_beta_elimination()
-    rows, exponents = [], {}
-    for family, sizes in FAMILIES.items():
-        for n in sizes:
-            formula = CnfFormula.from_ints(clauses_of(family, n))
-            count_s = best_seconds(lambda: count_dpll(formula, strategy))
-            trace_s = best_seconds(lambda: search(formula, strategy, trace=True))
-            tracemalloc.start()
-            try:
-                _, stats, _ = search(formula, strategy, trace=True)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            rows.append({"family": family, "n": n, "count_s": round(count_s, 4),
-                         "trace_s": round(trace_s, 4), "trace_peak_bytes": peak,
-                         "stats": stats.to_dict()})
-        mine = [r for r in rows if r["family"] == family]
-        exponents[family] = {key: round(slope(sizes, [r[key] for r in mine]), 3)
-                             for key in ("count_s", "trace_s", "trace_peak_bytes")}
-    return {"rows": rows, "exponents": exponents}
+    formula = CnfFormula.from_ints(clauses_of(family, n))
+    count_dpll(formula, strategy)
+    start = time.perf_counter()
+    count_dpll(formula, strategy)
+    count_s = time.perf_counter() - start
+    start = time.perf_counter()
+    search(formula, strategy, trace=True)
+    trace_s = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        _, stats, _ = search(formula, strategy, trace=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"count_s": count_s, "trace_s": trace_s, "trace_peak_bytes": peak, "stats": stats.to_dict()}
 
 
-def measure_tree(src: Path) -> dict:
+def measure_tree(src: Path, family: str, n: int) -> dict:
     """`measure` in a fresh interpreter importing betadnnf from `src`."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, __file__, "--measure"],
+    out = subprocess.run([sys.executable, __file__, "--measure", family, str(n)],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
+def measure_trees(trees: dict[str, Path]) -> dict[str, dict]:
+    """Rows and exponents for each named source tree."""
+    names = list(trees)
+    rows: dict[str, list[dict]] = {name: [] for name in names}
+    for family, sizes in FAMILIES.items():
+        for n in sizes:
+            runs: dict[str, list[dict]] = {name: [] for name in names}
+            for k in range(REPEATS):
+                for name in names if k % 2 == 0 else names[::-1]:
+                    runs[name].append(measure_tree(trees[name], family, n))
+            for name, got in runs.items():
+                rows[name].append({"family": family, "n": n,
+                                   "count_s": round(min(r["count_s"] for r in got), 4),
+                                   "trace_s": round(min(r["trace_s"] for r in got), 4),
+                                   "trace_peak_bytes": min(r["trace_peak_bytes"] for r in got),
+                                   "stats": got[0]["stats"]})
+    out = {}
+    for name, mine in rows.items():
+        exponents = {}
+        for family, sizes in FAMILIES.items():
+            part = [r for r in mine if r["family"] == family]
+            exponents[family] = {key: round(slope(sizes, [r[key] for r in part]), 3)
+                                 for key in ("count_s", "trace_s", "trace_peak_bytes")}
+        out[name] = {"rows": mine, "exponents": exponents}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", metavar="REV", help="also measure this commit, first")
+    parser.add_argument("--baseline", metavar="REV", help="also measure this commit, alternating with the working tree")
     parser.add_argument("-o", "--output", type=Path, help="write the JSON here, not to stdout")
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--measure", nargs=2, metavar=("FAMILY", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:  # the child process of measure_tree
-        print(json.dumps(measure()))
+        print(json.dumps(measure(args.measure[0], int(args.measure[1]))))
         return 0
     repo = Path(__file__).resolve().parent.parent
     report = {
         "command": "python3 tools/bench_dpll.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "strategy": "reverse-beta",
+        "repeats": REPEATS,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
         "runs": {},
     }
-    if args.baseline:
-        with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {}
+        if args.baseline:
             archive = subprocess.run(["git", "-C", str(repo), "archive", args.baseline],
                                      check=True, capture_output=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            report["runs"]["before"] = {"rev": args.baseline,
-                                        **measure_tree(Path(tmp) / "src")}
-    report["runs"]["after"] = {"rev": "working tree", **measure_tree(repo / "src")}
+            trees["before"] = Path(tmp) / "src"
+        trees["after"] = repo / "src"
+        for name, measured in measure_trees(trees).items():
+            rev = args.baseline if name == "before" else "working tree"
+            report["runs"][name] = {"rev": rev, **measured}
     text = json.dumps(report, indent=1) + "\n"
     if args.output:
         args.output.write_text(text)
