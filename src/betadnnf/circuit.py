@@ -645,14 +645,14 @@ def _integer(token: str, what: str, line: int) -> int:
 def read_nnf(text: str | bytes) -> NnfCircuit:
     if isinstance(text, bytes):
         text = text.decode("ascii")
-    lines = [l for l in text.splitlines()]
+    lines = text.splitlines()
     header: list[str] = []
     body_start = 0
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):  # blank or comment
             continue
-        header = stripped.split()
+        header = fields
         body_start = lineno
         break
     if len(header) != 4 or header[0] != "nnf":
@@ -661,21 +661,19 @@ def read_nnf(text: str | bytes) -> NnfCircuit:
     gates: list[Gate] = []
     seen_edges = 0
     lineno = body_start
+
+    def child(token: str) -> int:  # a child of the gate being read, gate len(gates)
+        c = _integer(token, "child", lineno)
+        if not (0 <= c < len(gates)):
+            raise NnfParseError(f"child {c} must reference an earlier gate", lineno)
+        return c
+
     for raw in lines[body_start:]:
         lineno += 1
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):
             continue
-        fields = stripped.split()
         kind = fields[0]
-        index = len(gates)
-
-        def child(token: str) -> int:
-            c = _integer(token, "child", lineno)
-            if not (0 <= c < index):
-                raise NnfParseError(f"child {c} must reference an earlier gate", lineno)
-            return c
-
         if kind == "L" and len(fields) == 2:
             lit = _integer(fields[1], "literal", lineno)
             if lit == 0 or abs(lit) > n_vars:
@@ -698,7 +696,7 @@ def read_nnf(text: str | bytes) -> NnfCircuit:
             seen_edges += 2
             gates.append(("D", x, hi, lo))
         else:
-            raise NnfParseError(f"unrecognized gate line {stripped!r}", lineno)
+            raise NnfParseError(f"unrecognized gate line {raw.strip()!r}", lineno)
     if len(gates) != n_gates:
         raise NnfParseError(f"header declares {n_gates} gates, found {len(gates)}", lineno)
     if seen_edges != n_edges:

@@ -183,6 +183,17 @@ def interval3_clauses(n):
     return [[i, i + 1, i + 2] for i in range(1, n - 1)] + [[i, i + 1] for i in range(1, n)]
 
 
+def wide_clause(w):
+    """One clause over 1..w; every third literal is negative."""
+    return [v if v % 3 else -v for v in range(1, w + 1)]
+
+
+def nested_clauses(k):
+    """One clause on each of the nested edges {1..j}, j <= k, with signs
+    varying by variable and by clause."""
+    return [[v if (v + j) % 3 else -v for v in range(1, j + 1)] for j in range(1, k + 1)]
+
+
 def fibonacci(k):
     a, b = 0, 1
     for _ in range(k):

@@ -47,6 +47,7 @@ from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 
 import builder_reference
 import gate_reference
+import nnf_reference
 from conftest import FSTAR_DIMACS, lits
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -761,6 +762,15 @@ def nnf_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(draw(indent) + l for l in lines) + "\n"
 
 
+def read_outcome(read, data):
+    """The gates and output read, or the error's type, message and line."""
+    try:
+        circuit = read(data)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return "ok", circuit.gates, circuit.output
+
+
 class TestNnfFuzz:
     @given(nnf_texts(), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -770,6 +780,19 @@ class TestNnfFuzz:
         except ValueError:  # NnfParseError, and UnicodeDecodeError for bytes
             return
         assert read_nnf(write_nnf(circuit)) == prune_unreachable(circuit)
+
+    @given(nnf_texts(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_read_matches_the_reference(self, text, as_bytes):
+        data = text.encode("utf-8") if as_bytes else text
+        assert read_outcome(read_nnf, data) == read_outcome(nnf_reference.read_nnf, data)
+
+    def test_read_matches_the_reference_on_compiled_pool(self):
+        rng = random.Random(20250810)
+        for _ in range(500):
+            text = write_nnf(compile_cnf(random_beta_acyclic_cnf(rng, max_vars=16, max_clauses=30))[0])
+            got = read_outcome(read_nnf, text)
+            assert got[0] == "ok" and got == read_outcome(nnf_reference.read_nnf, text)
 
     @given(nnf_texts())
     @settings(max_examples=100, deadline=None)

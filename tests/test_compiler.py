@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,13 +20,16 @@ from betadnnf import (
     write_nnf,
 )
 from betadnnf.cli import main
-from betadnnf.compiler import Compiler, compile_cnf
+from betadnnf.compiler import Compiler, SubFormulaKey, compile_cnf
 from betadnnf.dpll import OrderStrategy, count_dpll, search
 from betadnnf.errors import NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 from betadnnf.hypergraph import EliminationOrder, beta_elimination_order, sub_hypergraph
 
-from conftest import FSTAR_EDGES, fibonacci, interval3_clauses, linear_fit_r2, lits, transfer_count
+import compiler_reference
+from conftest import (
+    FSTAR_EDGES, fibonacci, interval3_clauses, linear_fit_r2, lits, nested_clauses, transfer_count, wide_clause,
+)
 
 E1, E2, E3, E4, E5 = (FSTAR_EDGES[k] for k in ("e1", "e2", "e3", "e4", "e5"))
 ORDER = EliminationOrder((1, 2, 3, 4, 5))
@@ -34,6 +38,22 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def clause_sets(formula):
     return {c.sorted_literals() for c in formula.clauses}
+
+
+def decoded_cache(compiler):
+    """The cache with each trie node decoded to the `SubFormulaKey` it
+    stands for: its root is the edge, the path down to it spells the
+    restriction, and the edge's next variable is the stage."""
+    step = {node: parent_literal for parent_literal, node in compiler.intern.items()}
+
+    def key(node):
+        literals = []
+        while node in step:
+            node, literal = step[node]
+            literals.append(literal)
+        return SubFormulaKey(node, tuple(reversed(literals)), compiler.edge_ranked[node][len(literals)])
+
+    return {key(node): gate for node, gate in compiler.cache.items()}
 
 
 def sub_formula(compiler, edge, cutoff):
@@ -240,7 +260,7 @@ class TestComputeU:
         compiler = Compiler(fstar, ORDER)
         k5 = [c.sorted_literals() for c in compiler.clauses].index((2, 4, 5))
         with pytest.raises(AssertionError) as info:
-            compiler.lookup(E5, k5, 4)
+            compiler.lookup(k5, 4)
         assert str(info.value) == (
             "uncomputed sub-circuit requested: SubFormulaKey(edge_index=4, restriction=(5,), cutoff=4)")
 
@@ -277,23 +297,28 @@ class TestComputeU:
                         ), (clause, x, tau)
 
     def test_one_call_per_decision_step(self, fstar, monkeypatch):
-        """Both branches of a stage gate come from one walk."""
+        """Both branches of a stage gate come from one walk, and the stage
+        loop does not go through the checked public entry."""
         rng = random.Random(11)
         formulas = [fstar] + [random_beta_acyclic_cnf(rng, max_vars=10, max_clauses=16)
                               for _ in range(200)]
         calls = []
-        decision_step, compute_U = Compiler.decision_step, Compiler.compute_U
+        decision_step, walk = Compiler.decision_step, Compiler._walk
 
         def counted_step(self, clause_id, x):
             calls.append(0)
             return decision_step(self, clause_id, x)
 
-        def counted_U(self, *args):
+        def counted_walk(self, *args):
             calls[-1] += 1
-            return compute_U(self, *args)
+            return walk(self, *args)
+
+        def refused_U(self, *args):
+            raise AssertionError("the stage loop called compute_U")
 
         monkeypatch.setattr(Compiler, "decision_step", counted_step)
-        monkeypatch.setattr(Compiler, "compute_U", counted_U)
+        monkeypatch.setattr(Compiler, "_walk", counted_walk)
+        monkeypatch.setattr(Compiler, "compute_U", refused_U)
         for formula in formulas:
             compile_cnf(formula)
         assert len(calls) > 200 and set(calls) == {1}
@@ -338,7 +363,94 @@ class TestCacheKeys:
     def test_equal_restrictions_share_an_entry(self):
         comp = Compiler(CnfFormula.from_ints([[1, 2], [-1, 2]]), EliminationOrder((1, 2)))
         comp.run()
-        assert sorted(comp.cache) == [(0, (), 2), (0, (2,), 1)]
+        assert len(comp.cache) == 2
+        assert sorted(decoded_cache(comp)) == [(0, (), 2), (0, (2,), 1)]
+
+    def test_wide_clause_is_one_trie_path(self):
+        """A clause of width w has w prefix nodes, root included (the whole
+        clause is none), and one cache entry per stage; all of its 2^w
+        assignments but one satisfy it."""
+        w = 5000
+        comp = Compiler(CnfFormula.from_ints([wide_clause(w)]))
+        circuit, _ = comp.run()
+        assert len(comp.edges) + len(comp.intern) == w
+        assert len(comp.cache) == w
+        assert count_models(circuit, range(1, w + 1)) == 2 ** w - 1
+
+
+def refusal_or_result(call, *args):
+    try:
+        return "ok", call(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestAgainstTheTupleKeyCompiler:
+    """`tests/compiler_reference.py` is the compiler as it was when the cache
+    was keyed by (edge, restriction tuple, stage) and every stage went
+    through the checked `compute_U`."""
+
+    @staticmethod
+    def formulas():
+        for name in sorted(os.listdir(GOLDEN)):
+            if name.endswith(".cnf"):
+                yield parse_dimacs(TestGoldenOutput.golden(name))
+        rng = random.Random(7)
+        for _ in range(300):
+            yield random_beta_acyclic_cnf(rng)
+        for n in (50, 200):
+            yield chain_cnf(n)
+            yield CnfFormula.from_ints(interval3_clauses(n))
+        yield CnfFormula.from_ints([wide_clause(200)])
+        for j in range(1, 21):
+            yield CnfFormula.from_ints(nested_clauses(j))
+
+    def test_same_circuit_report_and_cache(self):
+        compared = 0
+        for formula in self.formulas():
+            try:
+                old = compiler_reference.Compiler(formula)
+            except (NotBetaAcyclicError, ValueError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    Compiler(formula)
+                assert str(info.value) == str(exc)
+                continue
+            new = Compiler(formula)
+            (old_circuit, old_report), (new_circuit, new_report) = old.run(), new.run()
+            assert write_nnf(new_circuit) == write_nnf(old_circuit)
+            assert new.full_circuit.gates == old.full_circuit.gates
+            old_report.wall_time_seconds = new_report.wall_time_seconds = 0.0
+            assert new_report == old_report
+            assert len(new.cache) == len(old.cache)
+            assert decoded_cache(new) == old.cache
+            compared += 1
+        assert compared == 3 + 300 + 4 + 1 + 20  # the golden triangle is refused
+
+    def test_compute_U_matches_on_every_stage(self):
+        """Every (clause, x) of random formulas, with the clause's own
+        restriction, a random one over the same variables (often no clause's
+        prefix, so no clause of the edge fails it) and two that bind the
+        wrong variables."""
+        rng = random.Random(2006)
+        off_prefix, outcomes = 0, Counter()
+        for _ in range(150):
+            formula = random_beta_acyclic_cnf(rng, max_vars=9, max_clauses=14)
+            new, old = Compiler(formula), compiler_reference.Compiler(formula)
+            for cid, clause in enumerate(new.clauses):
+                edge = clause.variables
+                for x in sorted(edge):
+                    falsified = new.restriction_above(cid, x)
+                    flipped = tuple(l if rng.random() < 0.5 else -l for l in falsified)
+                    off_prefix += all(new.restriction_above(c, x) != flipped
+                                      for c, d in enumerate(new.clauses) if d.variables == edge)
+                    own = frozenset(-l for l in falsified)
+                    wrong = own - {-falsified[0]} if falsified else own | {-x}
+                    for above in (own, frozenset(-l for l in flipped), own | {x}, wrong):
+                        got = refusal_or_result(new.compute_U, edge, x, above)
+                        assert got == refusal_or_result(old.compute_U, edge, x, above), (edge, x, above)
+                        outcomes[got[0]] += 1
+        assert off_prefix > 200
+        assert min(outcomes["ok"], outcomes["ValueError"]) > 1000, outcomes
 
 
 class TestGoldenOutput:
@@ -378,14 +490,14 @@ class TestDecisionStepStructure:
         comp.run()
         ids = {c.sorted_literals(): i for i, c in enumerate(comp.clauses)}
         k1, k2, k5 = ids[(1, 2)], ids[(3, 4)], ids[(2, 4, 5)]
-        top = comp.lookup(E5, k5, 5)
+        top = comp.lookup(k5, 5)
         tag, x, hi, lo = comp.builder.gate(top)
         assert (tag, x) == ("D", 5)
         # low branch reuses the cached gate for the big edge one stage down
-        assert lo == comp.lookup(E5, k5, 4)
+        assert lo == comp.lookup(k5, 4)
         tag, children = comp.builder.gate(hi)
         assert tag == "A"
-        assert set(children) == {comp.lookup(E1, k1, 4), comp.lookup(E2, k2, 4)}
+        assert set(children) == {comp.lookup(k1, 4), comp.lookup(k2, 4)}
 
     @pytest.mark.parametrize("literal", [1, -1])
     def test_unit_clause_base_case(self, literal):
@@ -501,7 +613,7 @@ class TestRandomisedEquivalence:
             comp = Compiler(formula)
             comp.run()
             edges = comp.edge_order.sort(comp.hypergraph.edges)
-            for key, gate in comp.cache.items():
+            for key, gate in decoded_cache(comp).items():
                 edge = edges[key.edge_index]
                 residual = sub_formula(comp, edge, key.cutoff).restrict(
                     falsifying_assignment(Clause(key.restriction))

@@ -14,6 +14,8 @@ host's speed reaches both trees alike.
 
 Families: chain (clauses {i, i+1}), interval3 (every run of three and of
 two consecutive variables) and wide (one clause over 1..n).
+
+`tools/bench_compile.py` runs its own measurement through `run`.
 """
 from __future__ import annotations
 
@@ -34,6 +36,8 @@ FAMILIES = {
     "interval3": (300, 600, 1200, 2400),
     "wide": (800, 1600, 3200),
 }
+KEYS = ("count_s", "trace_s", "trace_peak_bytes")  # each row keeps the least of these
+SIZE = "n"  # the row field the exponents are fitted over
 REPEATS = 3
 
 
@@ -78,54 +82,63 @@ def measure(family: str, n: int) -> dict:
     return {"count_s": count_s, "trace_s": trace_s, "trace_peak_bytes": peak, "stats": stats.to_dict()}
 
 
-def measure_tree(src: Path, family: str, n: int) -> dict:
-    """`measure` in a fresh interpreter importing betadnnf from `src`."""
+def measure_tree(script: str, src: Path, family: str, n: int) -> dict:
+    """`script`'s measurement in a fresh interpreter importing betadnnf from `src`."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, __file__, "--measure", family, str(n)],
+    out = subprocess.run([sys.executable, script, "--measure", family, str(n)],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
-def measure_trees(trees: dict[str, Path]) -> dict[str, dict]:
-    """Rows and exponents for each named source tree."""
+def measure_trees(tool, trees: dict[str, Path]) -> dict[str, dict]:
+    """Rows and exponents of a tool module (see `run`) for each named source
+    tree. A row keeps the least of each of `KEYS` over its repeats and the
+    other fields of the first."""
+    script, families, keys = tool.__file__, tool.FAMILIES, tool.KEYS
     names = list(trees)
     rows: dict[str, list[dict]] = {name: [] for name in names}
-    for family, sizes in FAMILIES.items():
+    for family, sizes in families.items():
         for n in sizes:
             runs: dict[str, list[dict]] = {name: [] for name in names}
             for k in range(REPEATS):
                 for name in names if k % 2 == 0 else names[::-1]:
-                    runs[name].append(measure_tree(trees[name], family, n))
+                    runs[name].append(measure_tree(script, trees[name], family, n))
             for name, got in runs.items():
-                rows[name].append({"family": family, "n": n,
-                                   "count_s": round(min(r["count_s"] for r in got), 4),
-                                   "trace_s": round(min(r["trace_s"] for r in got), 4),
-                                   "trace_peak_bytes": min(r["trace_peak_bytes"] for r in got),
-                                   "stats": got[0]["stats"]})
+                least = {key: min(r[key] for r in got) for key in keys}
+                rows[name].append({"family": family, "n": n, **got[0], **{
+                    key: round(v, 4) if isinstance(v, float) else v for key, v in least.items()}})
     out = {}
     for name, mine in rows.items():
         exponents = {}
-        for family, sizes in FAMILIES.items():
+        for family in families:
             part = [r for r in mine if r["family"] == family]
-            exponents[family] = {key: round(slope(sizes, [r[key] for r in part]), 3)
-                                 for key in ("count_s", "trace_s", "trace_peak_bytes")}
+            xs = [r[tool.SIZE] for r in part]
+            exponents[family] = {key: round(slope(xs, [r[key] for r in part]), 3) for key in keys}
         out[name] = {"rows": mine, "exponents": exponents}
     return out
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    return run(argv, sys.modules[__name__], {"strategy": "reverse-beta"})
+
+
+def run(argv, tool, extra: dict) -> int:
+    """The command line of a tool module with `FAMILIES`, `KEYS`, `SIZE`
+    and `measure`: `--measure` measures in this process, and otherwise the
+    trees are measured and reported with the fields of `extra`."""
+    parser = argparse.ArgumentParser(description=tool.__doc__.splitlines()[0])
     parser.add_argument("--baseline", metavar="REV", help="also measure this commit, alternating with the working tree")
     parser.add_argument("-o", "--output", type=Path, help="write the JSON here, not to stdout")
     parser.add_argument("--measure", nargs=2, metavar=("FAMILY", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:  # the child process of measure_tree
-        print(json.dumps(measure(args.measure[0], int(args.measure[1]))))
+        print(json.dumps(tool.measure(args.measure[0], int(args.measure[1]))))
         return 0
-    repo = Path(__file__).resolve().parent.parent
+    repo = Path(tool.__file__).resolve().parent.parent
+    given = argv if argv is not None else sys.argv[1:]
     report = {
-        "command": "python3 tools/bench_dpll.py " + " ".join(argv if argv is not None else sys.argv[1:]),
-        "strategy": "reverse-beta",
+        "command": " ".join(["python3", f"tools/{Path(tool.__file__).name}", *given]),
+        **extra,
         "repeats": REPEATS,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
@@ -139,7 +152,7 @@ def main(argv=None) -> int:
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             trees["before"] = Path(tmp) / "src"
         trees["after"] = repo / "src"
-        for name, measured in measure_trees(trees).items():
+        for name, measured in measure_trees(tool, trees).items():
             rev = args.baseline if name == "before" else "working tree"
             report["runs"][name] = {"rev": rev, **measured}
     text = json.dumps(report, indent=1) + "\n"
