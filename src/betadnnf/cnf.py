@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 from .errors import CapExceededError, DimacsParseError
 from .hypergraph import EliminationOrder, Hypergraph, _order_or_refuse, beta_elimination_order
@@ -49,11 +51,12 @@ class Clause:
     variables: frozenset[int] = field(compare=False, repr=False)
 
     def __init__(self, literals: Iterable[Literal]):
-        lits, variables = _checked_literals(
-            map(int, literals), "tautological or duplicated variable {} in clause"
-        )
-        object.__setattr__(self, "literals", lits)
+        self._fill(*_checked_literals(map(int, literals), "tautological or duplicated variable {} in clause"))
+
+    def _fill(self, literals: frozenset[Literal], variables: frozenset[int]) -> Clause:
+        object.__setattr__(self, "literals", literals)
         object.__setattr__(self, "variables", variables)
+        return self
 
     def sorted_literals(self) -> tuple[Literal, ...]:
         return tuple(sorted(self.literals, key=abs))
@@ -189,20 +192,47 @@ def brute_force_count(formula: CnfFormula, variables: Iterable[int], cap: int = 
     return truth_table_of_formula(formula, ordered).bit_count()
 
 
+def _block_formula(text: str, lines: list[str]) -> CnfFormula:
+    """The formula of a text that `parse_dimacs` reads as one block; ValueError for any other."""
+    tokens = text.split()
+    if (tokens[:2] != ["p", "cnf"] or lines[0].split() != tokens[:4]  # the header alone on line 1
+            or max(map(len, lines)) > MAX_DIMACS_LINE_BYTES):
+        raise ValueError
+    num_vars, _, *lits = map(int, tokens[2:])  # ValueError on a token that is no integer
+    if num_vars < 0 or lits and (lits[-1] != 0 or max(max(lits), -min(lits)) > num_vars):
+        raise ValueError
+    clauses, start = [], 0
+    for end in compress(count(), map((0).__eq__, lits)):
+        literals = frozenset(lits[start:end])
+        variables = frozenset(map(abs, literals))
+        if len(variables) < len(literals):  # a tautology
+            raise ValueError
+        clauses.append(object.__new__(Clause)._fill(literals, variables))
+        start = end + 1
+    return CnfFormula(clauses, num_vars)
+
+
 def parse_dimacs(text: str | bytes, strict: bool = False) -> CnfFormula:
     """Parse DIMACS CNF text into a formula.
 
     Duplicate literals within a clause collapse; duplicate clauses collapse;
     tautological clauses are dropped with a warning (they are satisfied by
     every assignment). With strict=True a tautology is an error instead.
+
+    A `p cnf` header line followed only by well-formed clauses is cut at
+    its zeros in one pass; any other text goes to the line loop, which
+    alone reports errors, warnings and line numbers, as before.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
+    lines = text.splitlines()
+    with suppress(ValueError):  # raised when the block pass declines the text
+        return _block_formula(text, lines)
     num_vars: int | None = None
     clauses: list[Clause] = []
     pending: list[int] = []
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         last_line = lineno
         if len(raw) > MAX_DIMACS_LINE_BYTES:  # one byte per character, as in ASCII
             raise DimacsParseError(f"line longer than {MAX_DIMACS_LINE_BYTES} bytes", lineno)

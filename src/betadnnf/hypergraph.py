@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import NotBetaAcyclicError
@@ -24,10 +25,9 @@ class Hypergraph:
     edges: frozenset[frozenset[int]]
 
     def __init__(self, edges: Iterable[Iterable[int]]):
-        es = frozenset(frozenset(e) for e in edges)
-        for e in es:
-            if not e:
-                raise ValueError("empty edges are not admitted")
+        es = frozenset(map(frozenset, edges))
+        if frozenset() in es:
+            raise ValueError("empty edges are not admitted")
         object.__setattr__(self, "edges", es)
 
     @property
@@ -62,13 +62,9 @@ class EliminationOrder:
             raise ValueError("elimination order repeats a vertex")
         object.__setattr__(self, "sequence", seq)
 
-    @property
+    @cached_property
     def rank(self) -> dict[int, int]:
-        cached = getattr(self, "_rank", None)
-        if cached is None:
-            cached = {v: i for i, v in enumerate(self.sequence)}
-            object.__setattr__(self, "_rank", cached)
-        return cached
+        return {v: i for i, v in enumerate(self.sequence)}
 
     def check_covers(self, vertices: Iterable[int]) -> None:
         missing = set(vertices) - set(self.sequence)
@@ -130,8 +126,13 @@ def beta_condition_violation(
     edges = list(hypergraph.edges)
     incident = _incidence(edges)
     order.check_covers(incident)
+    return _first_violation(edges, incident, order.sequence)
+
+
+def _first_violation(edges: list[frozenset[int]], incident: dict[int, list[int]], sequence: Iterable[int]):
+    """`beta_condition_violation` on `edges` and their `_incidence`."""
     residual = [set(e) for e in edges]
-    for x in order.sequence:
+    for x in sequence:
         through = incident.get(x, ())
         if pair := _chain_break(through, residual):
             return x, edges[pair[0]], edges[pair[1]]
@@ -147,9 +148,9 @@ def satisfies_beta_condition(hypergraph: Hypergraph, order: EliminationOrder) ->
 def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBetaAcyclic:
     """Greedy nest-point elimination, smallest vertex id first.
 
-    Returns an order satisfying the elimination condition (re-verified
-    before returning), or a NotBetaAcyclic certificate naming the vertex
-    set at which every candidate fails.
+    Returns an order satisfying the elimination condition (re-verified by
+    `_first_violation` on the incidence built here, not a second one), or
+    a NotBetaAcyclic certificate naming the vertex set where all fail.
 
     Candidates come off a heap, least first. A vertex that fails is set
     aside until a vertex sharing an edge with it is deleted, as no other
@@ -186,10 +187,9 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
                     heapq.heappush(heap, y)
     if failed:
         return NotBetaAcyclic(frozenset(failed))
-    order = EliminationOrder(sequence)
-    if beta_condition_violation(hypergraph, order) is not None:
+    if _first_violation(edges, incident, sequence) is not None:
         raise AssertionError("greedy elimination produced an invalid order")
-    return order
+    return EliminationOrder(sequence)
 
 
 def beta_elimination_order_or_refuse(hypergraph: Hypergraph) -> EliminationOrder:

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from betadnnf import (
     parse_dimacs,
     write_dimacs,
 )
+from betadnnf import cnf as cnf_mod
 from betadnnf.circuit import condition, evaluate
 from betadnnf.errors import CapExceededError, DimacsParseError
 from betadnnf.lowerbounds import Rectangle, min_rectangle_cover
@@ -61,6 +63,7 @@ class TestParse:
             ("p cnf 2 1\n3 0\n", 2),
             ("p cnf 2 1\n1 2\n", 2),
             ("1 0\n", 1),
+            ("p cnf -1 0\n", 1),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
@@ -326,3 +329,81 @@ def test_parse_dimacs_matches_reference(text, strict, as_bytes):
         return frozenset(c.literals for c in f.clauses), f.declared_variables
 
     assert _outcome(current, text, strict) == _outcome(dimacs_reference.parse_dimacs, text, strict)
+
+
+@st.composite
+def block_texts(draw):
+    """DIMACS text whose first line is a `p cnf` header, with no comment:
+    mostly clauses alone, several clauses to a line or one across lines,
+    and now and then a tautology, an out-of-range literal, a missing final
+    0, a non-integer token or a line at or past the length cap."""
+    num_vars = draw(st.integers(-1, 9))
+    bound = max(num_vars, 1) + (draw(st.integers(0, 9)) == 0)  # sometimes past the range
+    tokens = []
+    for variables in draw(st.lists(st.lists(st.integers(1, bound), unique=True, max_size=4), max_size=8)):
+        clause = [v if draw(st.booleans()) else -v for v in variables]
+        if clause and draw(st.integers(0, 9)) == 0:
+            clause.append(-clause[0])  # a tautology
+        tokens += [draw(st.sampled_from([str(l), str(l), f"+{l}"])) if l > 0 else str(l) for l in clause]
+        tokens.append(draw(st.sampled_from(["0", "0", "0", "00", "-0"])))
+    if tokens and draw(st.integers(0, 9)) == 0:
+        tokens.pop()  # a missing final 0, or a clause's 0 when that clause was empty
+    if draw(st.integers(0, 19)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(["x", "1.5", "c"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    gaps = draw(st.lists(st.sampled_from([" ", " ", "  ", "\t", newline, " " + newline]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    if gaps and draw(st.integers(0, 9)):
+        gaps[0] = newline  # mostly the header alone on its line
+    body = "".join(g + t for g, t in zip(gaps, tokens))
+    if draw(st.integers(0, 4)) == 0:  # a line of exactly k characters, the last ones "1 0"
+        k = draw(st.sampled_from([4095, 4096, 4097]))
+        body += newline + " " * (k - 3) + "1 0"
+    header = f"{draw(st.sampled_from(['', ' ']))}p cnf {num_vars} {draw(st.integers(0, 9))}"
+    return header + body + draw(st.sampled_from(["", newline]))
+
+
+def test_parse_dimacs_block_pass_matches_reference(monkeypatch):
+    """Texts with the header first and no comment: the block pass, and the
+    line loop where it declines, give the reference's clauses, declared
+    count, errors, warnings and line numbers, and the clauses the block
+    pass builds equal, hash and print as `Clause` does, in text order."""
+    reached = Counter()
+    block = cnf_mod._block_formula
+
+    def counted(text, lines):
+        try:
+            found = block(text, lines)
+        except ValueError:
+            reached["line loop"] += 1
+            raise
+        reached["block pass"] += 1
+        return found
+
+    monkeypatch.setattr(cnf_mod, "_block_formula", counted)
+
+    @given(block_texts(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def check(text, strict, as_bytes):
+        data = text.encode("ascii") if as_bytes else text
+
+        def current(data, strict):
+            f = parse_dimacs(data, strict)
+            return frozenset(c.literals for c in f.clauses), f.declared_variables
+
+        assert _outcome(current, data, strict) == _outcome(dimacs_reference.parse_dimacs, data, strict)
+        try:
+            block(text, text.splitlines())
+        except ValueError:
+            return
+        f = parse_dimacs(data, strict)
+        for c in f.clauses:
+            same = Clause(c.literals)
+            assert c == same and hash(c) == hash(same) and repr(c) == repr(same)
+            assert c.variables == same.variables
+        # a comment after the header sends the text through the line loop
+        looped = parse_dimacs(text.replace("\n", "\nc\n", 1) if "\n" in text else text + "\nc")
+        assert list(f.clauses) == list(looped.clauses)
+
+    check()
+    assert reached["block pass"] and reached["line loop"], reached

@@ -166,12 +166,13 @@ class TestOrderEngine:
         assert sum(read) <= 40 * leaves
 
     def test_failed_reverification_raises(self, monkeypatch):
-        """The greedy re-verifies through the module's verifier, so a
-        verifier that reports a violation stops it returning."""
-        def violated(hypergraph, order):
-            return order.sequence[0], E1, E3
+        """The greedy re-verifies through the verifier behind
+        `beta_condition_violation`, so a verifier that reports a violation
+        stops it returning."""
+        def violated(edges, incident, sequence):
+            return sequence[0], E1, E3
 
-        monkeypatch.setattr(hypergraph_mod, "beta_condition_violation", violated)
+        monkeypatch.setattr(hypergraph_mod, "_first_violation", violated)
         with pytest.raises(AssertionError, match="invalid order"):
             hypergraph_mod.beta_elimination_order(Hypergraph(FSTAR_EDGES.values()))
 

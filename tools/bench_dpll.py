@@ -4,7 +4,8 @@ For each family and size: seconds of `count_dpll` and of a traced
 `search`, the tracemalloc peak of a traced search, and its `DpllStats`;
 per family, the least-squares slope of log(seconds) and log(peak) over
 log(size). Every measurement runs in a fresh interpreter, and a row keeps
-the least seconds and peak of its repeats. With `--baseline REV`, the
+the least seconds and peak of its repeats, and next to each its spread
+over them (largest over least, less one). With `--baseline REV`, the
 tree of that commit is extracted by `git archive` into a temporary
 directory as the "before" tree. Each repeat then measures the two trees
 back to back, the first of them alternating, so that a drift of the
@@ -36,9 +37,9 @@ FAMILIES = {
     "interval3": (300, 600, 1200, 2400),
     "wide": (800, 1600, 3200),
 }
-KEYS = ("count_s", "trace_s", "trace_peak_bytes")  # each row keeps the least of these
+KEYS = ("count_s", "trace_s", "trace_peak_bytes")  # each row keeps the least and spread of these
 SIZE = "n"  # the row field the exponents are fitted over
-REPEATS = 3
+REPEATS = 5
 
 
 def clauses_of(family: str, n: int) -> list[list[int]]:
@@ -92,8 +93,9 @@ def measure_tree(script: str, src: Path, family: str, n: int) -> dict:
 
 def measure_trees(tool, trees: dict[str, Path]) -> dict[str, dict]:
     """Rows and exponents of a tool module (see `run`) for each named source
-    tree. A row keeps the least of each of `KEYS` over its repeats and the
-    other fields of the first."""
+    tree. A row keeps the least of each of `KEYS` over its repeats, as
+    `<key>_spread` the largest over the least less one, and the other
+    fields of the first."""
     script, families, keys = tool.__file__, tool.FAMILIES, tool.KEYS
     names = list(trees)
     rows: dict[str, list[dict]] = {name: [] for name in names}
@@ -104,9 +106,12 @@ def measure_trees(tool, trees: dict[str, Path]) -> dict[str, dict]:
                 for name in names if k % 2 == 0 else names[::-1]:
                     runs[name].append(measure_tree(script, trees[name], family, n))
             for name, got in runs.items():
-                least = {key: min(r[key] for r in got) for key in keys}
-                rows[name].append({"family": family, "n": n, **got[0], **{
-                    key: round(v, 4) if isinstance(v, float) else v for key, v in least.items()}})
+                row = {"family": family, "n": n, **got[0]}
+                for key in keys:
+                    least, most = min(r[key] for r in got), max(r[key] for r in got)
+                    row[key] = round(least, 4) if isinstance(least, float) else least
+                    row[f"{key}_spread"] = round(most / least - 1, 3)
+                rows[name].append(row)
     out = {}
     for name, mine in rows.items():
         exponents = {}
