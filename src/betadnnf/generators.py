@@ -18,6 +18,12 @@ def random_beta_acyclic_hypergraph(
     max_edges: int = 12,
     max_edge_size: int = 4,
 ) -> Hypergraph:
+    if max_vertices < 2:
+        raise ValueError(f"a random hypergraph needs max_vertices >= 2, got {max_vertices}")
+    if max_edges < 1:
+        raise ValueError(f"a random hypergraph needs max_edges >= 1, got {max_edges}")
+    if not 1 <= max_edge_size <= 4:
+        raise ValueError(f"a random hypergraph needs 1 <= max_edge_size <= 4, got {max_edge_size}")
     n = rng.randint(2, max_vertices)
     vertices = list(range(1, n + 1))
     edges: set[frozenset[int]] = set()

@@ -6,6 +6,12 @@ beta-acyclic when repeatedly deleting nest points (vertices whose incident
 edges form an inclusion chain) empties it; the deletion sequence is a
 beta-elimination order.
 
+An elimination order induces the edge order the compiler runs over: e < f
+iff the last-eliminated vertex where they differ lies in f. That is the
+order of the edges' ranks listed largest first (`EliminationOrder.edge_key`):
+where two such lists first differ, the larger rank is the largest in one
+edge only, and a strict prefix lacks only smaller ranks.
+
 The order engine and the edge searches handle edges by index: they list
 the edges once, map each vertex to the indices of its edges, and keep
 per-edge state (residuals, search parents) under those indices.
@@ -70,6 +76,11 @@ class EliminationOrder:
         missing = set(vertices) - set(self.sequence)
         if missing:
             raise ValueError(f"order does not cover vertices {sorted(missing)}")
+
+    def edge_key(self, edge: Iterable[int]) -> tuple[int, ...]:
+        """The edge's ranks, largest first: edges in the edge order are in
+        the order of these tuples (see the module docstring)."""
+        return tuple(sorted(map(self.rank.__getitem__, edge), reverse=True))
 
     def predecessor(self, vertex: int) -> int | None:
         i = self.rank[vertex]
@@ -210,38 +221,6 @@ def is_beta_acyclic(hypergraph: Hypergraph) -> bool:
     return isinstance(beta_elimination_order(hypergraph), EliminationOrder)
 
 
-class EdgeOrder:
-    """Total order on edges induced by an elimination order.
-
-    Edges compare as the integers obtained by reading vertex membership as
-    bits, the last vertex of the elimination order being most significant.
-    Equivalently e < f iff the largest vertex where they differ lies in f.
-    """
-
-    def __init__(self, hypergraph: Hypergraph, order: EliminationOrder):
-        order.check_covers(hypergraph.vertices)
-        self.order = order
-        self._keys: dict[frozenset[int], int] = {}
-        for e in hypergraph.edges:
-            self._keys[e] = self.key(e)
-
-    def key(self, edge: frozenset[int]) -> int:
-        cached = self._keys.get(edge)
-        if cached is not None:
-            return cached
-        rank = self.order.rank
-        return sum(1 << rank[v] for v in edge)
-
-    def less(self, e: frozenset[int], f: frozenset[int]) -> bool:
-        return self.key(e) < self.key(f)
-
-    def leq(self, e: frozenset[int], f: frozenset[int]) -> bool:
-        return self.key(e) <= self.key(f)
-
-    def sort(self, edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-        return sorted(edges, key=self.key)
-
-
 def _search(incident: dict[int, list[int]], start: int, admitted: Callable):
     """Breadth-first search over edges, by index, from `start`: from each
     edge g it steps through the vertices `admitted(g)` lists, in that
@@ -259,23 +238,23 @@ def _search(incident: dict[int, list[int]], start: int, admitted: Callable):
 
 
 def _ordered_search(hypergraph: Hypergraph, order: EliminationOrder, edge: frozenset[int], cutoff: int):
-    """The edge order, and `_search` from `edge` over the edges at most
-    `edge`, through vertices at most `cutoff`, the latest vertex first,
-    as a map from each edge reached to its (edge, vertex) parent."""
+    """`_search` from `edge` over the edges at most `edge` in the edge
+    order, through vertices at most `cutoff`, the latest vertex first, as
+    a map from each edge reached to its (edge, vertex) parent."""
     if edge not in hypergraph.edges:
         raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
     if cutoff not in order.rank or cutoff not in hypergraph.vertices:
         raise ValueError(f"vertex {cutoff} not in the hypergraph")
-    eo = EdgeOrder(hypergraph, order)
-    rank, bar, limit = order.rank, order.rank[cutoff], eo.key(edge)
-    edges = [f for f in hypergraph.edges if eo.key(f) <= limit]
+    order.check_covers(hypergraph.vertices)
+    rank, bar, limit = order.rank, order.rank[cutoff], order.edge_key(edge)
+    edges = [f for f in hypergraph.edges if order.edge_key(f) <= limit]
 
     def admitted(g):
         return sorted((v for v in edges[g] if rank[v] <= bar), key=rank.__getitem__, reverse=True)
 
     parents = _search(_incidence(edges), edges.index(edge), admitted)
-    return eo, {edges[f]: None if step is None else (edges[step[0]], step[1])
-              for f, step in parents.items()}
+    return {edges[f]: None if step is None else (edges[step[0]], step[1])
+            for f, step in parents.items()}
 
 
 def sub_hypergraph(
@@ -285,12 +264,11 @@ def sub_hypergraph(
     cutoff: int,
 ) -> Hypergraph:
     """Edges reachable from `edge` by walks using only edges at most `edge`
-    (in the induced edge order) and connecting vertices at most `cutoff`.
+    (by `order.edge_key`) and connecting vertices at most `cutoff`.
 
     Reached edges are returned whole, including vertices above the cutoff.
     """
-    _, parents = _ordered_search(hypergraph, order, frozenset(edge), cutoff)
-    return Hypergraph(parents)
+    return Hypergraph(_ordered_search(hypergraph, order, frozenset(edge), cutoff))
 
 
 @dataclass(frozen=True)
@@ -312,10 +290,10 @@ class Walk:
             self.vertices
         )
 
-    def is_decreasing(self, eo: EdgeOrder) -> bool:
-        rank = eo.order.rank
+    def is_decreasing(self, order: EliminationOrder) -> bool:
+        rank, key = order.rank, order.edge_key
         edges_down = all(
-            eo.less(self.edges[i + 1], self.edges[i]) for i in range(len(self.vertices))
+            key(self.edges[i + 1]) < key(self.edges[i]) for i in range(len(self.vertices))
         )
         vertices_down = all(
             rank[self.vertices[i + 1]] < rank[self.vertices[i]]
@@ -334,12 +312,12 @@ def decreasing_path(
     cutoff: int,
     target: Iterable[int],
 ) -> Walk:
-    """A path from `edge` down to `target` whose edge and vertex sequences
-    strictly decrease, through vertices at most `cutoff`.
+    """A path from `edge` down to `target` whose edges (by `order.edge_key`)
+    and vertices (by rank) strictly decrease, through vertices at most `cutoff`.
 
     A shortest qualifying path has this shape on beta-acyclic inputs.
     """
-    eo, parents = _ordered_search(hypergraph, order, frozenset(edge), cutoff)
+    parents = _ordered_search(hypergraph, order, frozenset(edge), cutoff)
     f = frozenset(target)
     if f not in parents:
         raise ValueError(f"edge {sorted(f)} is not reachable under the cutoff")
@@ -350,7 +328,7 @@ def decreasing_path(
         vertices.append(v)
         edges.append(g)
     walk = Walk(tuple(reversed(edges)), tuple(reversed(vertices)))
-    if not (walk.is_path() and walk.is_decreasing(eo)):
+    if not (walk.is_path() and walk.is_decreasing(order)):
         raise AssertionError("shortest path failed to decrease; input is not beta-acyclic")
     return walk
 

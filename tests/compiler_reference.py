@@ -14,7 +14,9 @@ from typing import Iterable, NamedTuple
 from betadnnf.circuit import CircuitBuilder, NnfCircuit, prune_unreachable
 from betadnnf.cnf import Clause, CnfFormula, hypergraph_of
 from betadnnf.compiler import CompileReport
-from betadnnf.hypergraph import EdgeOrder, EliminationOrder, beta_condition_violation
+from betadnnf.hypergraph import EliminationOrder, beta_condition_violation
+
+from order_reference import EdgeOrder
 
 
 class SubFormulaKey(NamedTuple):

@@ -12,7 +12,6 @@ import pytest
 from betadnnf import CnfFormula, parse_dimacs
 from betadnnf.circuit import CircuitBuilder, NnfCircuit, Vtree
 from betadnnf.hypergraph import (
-    EdgeOrder,
     EliminationOrder,
     Hypergraph,
     sub_hypergraph,
@@ -104,8 +103,8 @@ def structural_property_failures(hypergraph: Hypergraph, order: EliminationOrder
     at or above the cutoff to the root edge, suffix containment between
     order-comparable edges sharing a vertex, and monotonicity in the cutoff.
     """
-    eo = EdgeOrder(hypergraph, order)
-    edges = eo.sort(hypergraph.edges)
+    key = {e: order.edge_key(e) for e in hypergraph.edges}
+    edges = sorted(hypergraph.edges, key=key.__getitem__)
     seq = order.sequence
     rank = order.rank
     reach = reachable_table(hypergraph, order)
@@ -126,7 +125,7 @@ def structural_property_failures(hypergraph: Hypergraph, order: EliminationOrder
 
     for e in edges:
         for f in edges:
-            if eo.less(e, f):
+            if key[e] < key[f]:
                 for x in e & f:
                     if not e & at_or_above[x] <= f:
                         failures.append(
@@ -137,7 +136,7 @@ def structural_property_failures(hypergraph: Hypergraph, order: EliminationOrder
         for x in seq:
             for f in edges:
                 for y in seq:
-                    if rank[x] > rank[y] or not eo.leq(e, f):
+                    if rank[x] > rank[y] or not key[e] <= key[f]:
                         continue
                     shared = vertex_sets[(e, x)] & vertex_sets[(f, y)] & at_or_below[x]
                     if shared and not reach[(e, x)] <= reach[(f, y)]:

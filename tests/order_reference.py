@@ -2,7 +2,12 @@
 index: `_incidence` lists the edge sets themselves, residuals live in a
 dict keyed by edge, and `_chain_break` always sorts. Kept verbatim as the
 oracle that `tests/test_hypergraph.py` checks `betadnnf.hypergraph`
-against: same orders, same stuck vertices, same violation triples."""
+against: same orders, same stuck vertices, same violation triples.
+
+`EdgeOrder` is the edge order as it was before edges compared by their
+rank lists (`EliminationOrder.edge_key`): one integer of up to n bits per
+edge. Kept verbatim as the oracle for that key, and for
+`tests/compiler_reference.py`, which sorts its edges with it."""
 from __future__ import annotations
 
 import heapq
@@ -96,3 +101,35 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
     if beta_condition_violation(hypergraph, order) is not None:
         raise AssertionError("greedy elimination produced an invalid order")
     return order
+
+
+class EdgeOrder:
+    """Total order on edges induced by an elimination order.
+
+    Edges compare as the integers obtained by reading vertex membership as
+    bits, the last vertex of the elimination order being most significant.
+    Equivalently e < f iff the largest vertex where they differ lies in f.
+    """
+
+    def __init__(self, hypergraph: Hypergraph, order: EliminationOrder):
+        order.check_covers(hypergraph.vertices)
+        self.order = order
+        self._keys: dict[frozenset[int], int] = {}
+        for e in hypergraph.edges:
+            self._keys[e] = self.key(e)
+
+    def key(self, edge: frozenset[int]) -> int:
+        cached = self._keys.get(edge)
+        if cached is not None:
+            return cached
+        rank = self.order.rank
+        return sum(1 << rank[v] for v in edge)
+
+    def less(self, e: frozenset[int], f: frozenset[int]) -> bool:
+        return self.key(e) < self.key(f)
+
+    def leq(self, e: frozenset[int], f: frozenset[int]) -> bool:
+        return self.key(e) <= self.key(f)
+
+    def sort(self, edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+        return sorted(edges, key=self.key)

@@ -403,6 +403,11 @@ class TestLabCommands:
         rows = [json.loads(line) for line in out.splitlines()]
         assert len(rows) == 2 and rows[0]["gates"] > 0
 
+    def test_bench_random_too_small_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--family", "random", "--sizes", "1")
+        assert (code, out) == (2, "")
+        assert "error: a random hypergraph needs max_vertices >= 2, got 1" in err
+
 
 class TestCliContract:
     def test_identical_argv_gives_identical_stdout(self, capsys):

@@ -111,7 +111,7 @@ def pairwise_compute_U(compiler, edge, x, tau):
                 lowest_unsat[g] = cid
                 break
     y = order.predecessor(x)
-    candidates = compiler.edge_order.sort(lowest_unsat)
+    candidates = sorted(lowest_unsat, key=order.edge_key)
     return [
         (g, lowest_unsat[g])
         for g in candidates
@@ -612,9 +612,8 @@ class TestRandomisedEquivalence:
             formula = random_beta_acyclic_cnf(rng, max_vars=8, max_clauses=10)
             comp = Compiler(formula)
             comp.run()
-            edges = comp.edge_order.sort(comp.hypergraph.edges)
             for key, gate in decoded_cache(comp).items():
-                edge = edges[key.edge_index]
+                edge = comp.edges[key.edge_index]
                 residual = sub_formula(comp, edge, key.cutoff).restrict(
                     falsifying_assignment(Clause(key.restriction))
                 )

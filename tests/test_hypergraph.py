@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from betadnnf import hypergraph as hypergraph_mod
 from betadnnf.hypergraph import (
-    EdgeOrder,
     EliminationOrder,
     Hypergraph,
     NotBetaAcyclic,
@@ -226,30 +225,62 @@ class TestAgainstReference:
             assert verdicts[0] == verdicts[1]
 
 
+class TestRandomHypergraphArguments:
+    @pytest.mark.parametrize("argument, value", [
+        ("max_vertices", 1), ("max_edges", 0), ("max_edge_size", 0), ("max_edge_size", 5),
+    ])
+    def test_out_of_range_is_named(self, argument, value):
+        with pytest.raises(ValueError, match=f"{argument} .*got {value}"):
+            random_beta_acyclic_hypergraph(random.Random(0), **{argument: value})
+
+    def test_smallest_arguments_are_admitted(self):
+        h = random_beta_acyclic_hypergraph(random.Random(0), max_vertices=2, max_edges=1, max_edge_size=1)
+        assert len(h) == 1 and len(next(iter(h))) == 1
+
+
 class TestEdgeOrder:
     def test_worked_example_sequence(self, fstar_hypergraph):
-        eo = EdgeOrder(fstar_hypergraph, ORDER)
-        assert eo.sort(fstar_hypergraph.edges) == [E1, E2, E3, E4, E5]
+        assert sorted(fstar_hypergraph.edges, key=ORDER.edge_key) == [E1, E2, E3, E4, E5]
 
-    def test_pair_comparison(self, fstar_hypergraph):
-        eo = EdgeOrder(fstar_hypergraph, ORDER)
+    def test_pair_comparison(self):
+        key = ORDER.edge_key
         # symmetric difference {1, 5} has its maximum inside {2, 5}
-        assert eo.less(E1, E3)
-        assert not eo.less(E3, E1)
-        assert not eo.less(E1, E1)
+        assert key(E1) < key(E3)
+        assert not key(E3) < key(E1)
+        assert not key(E1) < key(E1)
 
     def test_total_and_strict(self):
         rng = random.Random(3)
         for _ in range(30):
             h = random_beta_acyclic_hypergraph(rng, max_vertices=8)
-            order = beta_elimination_order(h)
-            eo = EdgeOrder(h, order)
+            key = beta_elimination_order(h).edge_key
             for e, f in itertools.combinations(h.edges, 2):
-                assert eo.less(e, f) != eo.less(f, e)
+                assert (key(e) < key(f)) != (key(f) < key(e))
 
     def test_missing_vertex_rejected(self, fstar_hypergraph):
-        with pytest.raises(ValueError, match="5"):
-            EdgeOrder(fstar_hypergraph, EliminationOrder((1, 2, 3, 4)))
+        short = EliminationOrder((1, 2, 3, 4))
+        with pytest.raises(ValueError, match=r"does not cover vertices \[5\]"):
+            sub_hypergraph(fstar_hypergraph, short, E1, 2)
+        with pytest.raises(ValueError, match=r"does not cover vertices \[5\]"):
+            decreasing_path(fstar_hypergraph, short, E5, 4, E2)
+
+    @given(hypergraphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_key_matches_reference(self, h, data):
+        """Under the greedy order, when there is one, and under any
+        permutation of the vertices, the rank-list key sorts and compares
+        edges as the reference's n-bit integers do."""
+        sequences = [data.draw(st.permutations(sorted(h.vertices)))]
+        greedy = beta_elimination_order(h)
+        if isinstance(greedy, EliminationOrder):
+            sequences.append(greedy.sequence)
+        for sequence in sequences:
+            order = EliminationOrder(sequence)
+            reference, key = order_reference.EdgeOrder(h, order), order.edge_key
+            assert sorted(h.edges, key=key) == reference.sort(h.edges)
+            for e in h.edges:
+                for f in h.edges:
+                    assert (key(e) < key(f)) == reference.less(e, f)
 
 
 class TestSubHypergraph:
@@ -298,13 +329,12 @@ class TestDecreasingPath:
         for _ in range(40):
             h = random_beta_acyclic_hypergraph(rng, max_vertices=9)
             order = beta_elimination_order(h)
-            eo = EdgeOrder(h, order)
             for e in h.edges:
                 for x in order.sequence:
                     for f in sub_hypergraph(h, order, e, x).edges:
                         walk = decreasing_path(h, order, e, x, f)
                         assert walk.is_path()
-                        assert walk.is_decreasing(eo)
+                        assert walk.is_decreasing(order)
                         assert all(order.rank[v] <= order.rank[x] for v in walk.vertices)
 
     def test_as_short_as_a_shortest_path(self):
