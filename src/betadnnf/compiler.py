@@ -11,8 +11,9 @@ the cache: the twin of the interned rank-order suffixes of `dpll`. A stage
 gate is a decision on x whose branches are decomposable conjunctions of
 gates from earlier stages. Both branches lie in one reachable set and
 share its tops in the reachability forest, so one walk serves both. The
-gate for the largest edge of each connected component at the last stage
-computes that component.
+first stage is the same walk with no predecessor to look up: a piece makes
+its branch false. The gate for the largest edge of each connected
+component at the last stage computes that component.
 """
 from __future__ import annotations
 
@@ -141,7 +142,8 @@ class Compiler:
     def reachable_edges(self, edge: frozenset[int], cutoff: int) -> list[int]:
         """Indices, ascending, of the edges reachable from `edge` through
         edges at most `edge` and vertices at most `cutoff`: the edges of
-        `hypergraph.sub_hypergraph(..., edge, cutoff)`, read off the forest."""
+        `hypergraph.sub_hypergraph(..., edge, cutoff)`, read off the forest.
+        A public query; the stage loop reads the forest through `_walk`."""
         start = self.edge_index.get(edge)
         if start is None:
             raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
@@ -155,7 +157,8 @@ class Compiler:
 
     def restriction_above(self, clause_id: int, cutoff: int) -> tuple[int, ...]:
         """The literals of the clause on variables after `cutoff`, by
-        descending rank: those its falsifying assignment falsifies there."""
+        descending rank: those its falsifying assignment falsifies there.
+        A public query; the stage loop reads prefixes off `prefix`."""
         return self.ranked[clause_id][:bisect_left(self.depth[clause_id], -self.rank[cutoff])]
 
     def compute_U(
@@ -254,43 +257,29 @@ class Compiler:
             raise AssertionError(f"uncomputed sub-circuit requested: {key}")
         return gate
 
-    def _base_gate(self, clause_id: int) -> int:
-        """First stage: the restriction satisfies each reachable clause or
-        leaves its literal on the first variable, which they all hold."""
-        first = self.order.sequence[0]
-        tau = frozenset(-l for l in self.restriction_above(clause_id, first))
-        literals = set()
-        for i in self.reachable_edges(self.clauses[clause_id].variables, first):
-            for _, clause_literals in self.edge_clauses[i]:
-                if tau.isdisjoint(clause_literals):
-                    rest = [l for l in clause_literals if -l not in tau]
-                    if len(rest) != 1 or abs(rest[0]) != first:
-                        raise AssertionError("first-stage residual is not a unit over the first variable")
-                    literals.add(rest[0])
-        if not literals:
-            return self.builder.true()
-        if len(literals) == 2:
-            return self.builder.false()
-        return self.builder.literal(literals.pop())
-
     def decision_step(self, clause_id: int, x: int) -> int:
-        """Emit the decision gate on x for the given clause; both branches,
-        from one walk, are conjunctions of gates cached at the predecessor
-        stage, and an empty conjunction is constant true."""
+        """Emit the gate on x for the given clause; both branches, from one
+        walk, are conjunctions of gates cached at the predecessor stage, and
+        an empty conjunction is constant true. The first stage has no
+        predecessor to look up, and a piece there makes its branch false."""
         k, prefix = bisect_left(self.depth[clause_id], -self.rank[x]), self.prefix[clause_id]
-        y, lookup = self.order.predecessor(x), self.lookup
-        hi, lo = [
-            self.builder.and_([lookup(cid, y) for _, cid in pieces])
-            for pieces in self._walk(prefix[0], x, k, prefix[k], self.clauses[clause_id].literals)
-        ]
-        return self.builder.decision(x, hi, lo)
+        hi, lo = self._walk(prefix[0], x, k, prefix[k], self.clauses[clause_id].literals)
+        y, lookup, builder = self.order.predecessor(x), self.lookup, self.builder
+        if y is None:  # x is a nest point, so a piece lies within the edge: a unit on x
+            if not all(self.edges[g] <= self.edges[prefix[0]] for g, _ in hi + lo):
+                raise AssertionError("first-stage residual is not a unit over the first variable")
+            if hi and lo:
+                return builder.false()
+            return builder.literal(x if lo else -x) if hi or lo else builder.true()
+        hi, lo = [builder.and_([lookup(cid, y) for _, cid in pieces]) for pieces in (hi, lo)]
+        return builder.decision(x, hi, lo)
 
     def run(self) -> tuple[NnfCircuit, CompileReport]:
         cache, prefix = self.cache, self.prefix
         # stages run by ascending rank: an edge's t-th is t-th from the end of its ranked list
         unstaged = [len(e) for e in self.edges]
         cumulative = 0
-        for i, x in enumerate(self.order.sequence):
+        for x in self.order.sequence:
             cumulative += self.clause_counts[x]
             for j in self.edges_with[x]:
                 unstaged[j] -= 1
@@ -298,7 +287,7 @@ class Compiler:
                 for cid, _ in self.edge_clauses[j]:
                     node = prefix[cid][k]
                     if node not in cache:
-                        cache[node] = self._base_gate(cid) if i == 0 else self.decision_step(cid, x)
+                        cache[node] = self.decision_step(cid, x)
             if len(self.builder) > 7 * cumulative:
                 raise AssertionError("gate ledger exceeded: more than 7 gates per incidence")
         # the last forest's roots are the components' largest edges, taken by

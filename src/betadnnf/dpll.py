@@ -29,7 +29,8 @@ component to x first meets a clause holding x; if that clause advanced,
 it is in the component, else the variable the path entered it by is one
 of its variables. So components are searched from those seeds only, one
 search per seed, interleaved; searches that meet merge, and the split
-stops once one search is left or all but one have run out.
+stops once one search is left or all but one have run out. The root
+seeds every clause and takes the same split.
 """
 from __future__ import annotations
 
@@ -194,12 +195,13 @@ class _Residuals:
             for u in vs[c][i + 1:]:
                 count[u] += 1
 
-    def parts(self, key: tuple[int, ...], nvars: int, seeds, whole: bool = False):
+    def parts(self, key: tuple[int, ...], nvars: int, seeds):
         """The variable-disjoint parts of the current residual, with key
         `key` and `nvars` variables, as [(order, part key, variable count)]
         sorted by first clause; None when it is connected. `seeds` are
         sequences of variables, each within one part, and every part holds
-        one of them; with `whole` they are all its clauses."""
+        one of them. The root seeds every clause, so each of its searches
+        already holds a whole part, and the search below only confirms it."""
         owner: dict[int, int] = {}  # variable -> the search that took it
         link, owned = [], []  # per search: the one it joined, its variables
         roots = 0
@@ -226,49 +228,46 @@ class _Residuals:
         if roots == 1:
             return None
         live = [k for k in range(len(link)) if link[k] == k]
-        if whole:  # every clause seeded, so each search holds a whole part
-            done, rest = live, False
-        else:
-            # one step of each running search per round: a search that runs
-            # out has found a whole part, and the last one running the rest
-            pos, occ, vs, seen = self.pos, self.occ, self.vars, set()
-            todo = {k: owned[k][:] for k in live}  # variables still to expand
-            while len(live) > 1:
-                running, met = [], roots
-                for k in live:
-                    if link[k] != k:
+        # one step of each running search per round: a search that runs
+        # out has found a whole part, and the last one running the rest
+        pos, occ, vs, seen = self.pos, self.occ, self.vars, set()
+        todo = {k: owned[k][:] for k in live}  # variables still to expand
+        while len(live) > 1:
+            running, met = [], roots
+            for k in live:
+                if link[k] != k:
+                    continue
+                t = todo[k]
+                for c, i in occ[t.pop()]:
+                    if pos[c] > i or c in seen:
                         continue
-                    t = todo[k]
-                    for c, i in occ[t.pop()]:
-                        if pos[c] > i or c in seen:
+                    seen.add(c)
+                    for u in vs[c][pos[c]:]:
+                        j = owner.get(u)
+                        if j is None:
+                            owner[u] = k
+                            owned[k].append(u)
+                            t.append(u)
                             continue
-                        seen.add(c)
-                        for u in vs[c][pos[c]:]:
-                            j = owner.get(u)
-                            if j is None:
-                                owner[u] = k
-                                owned[k].append(u)
-                                t.append(u)
-                                continue
-                            while link[j] != j:
-                                j = link[j]
-                            if j != k:  # as above, and the searches' to-do lists join
-                                if len(owned[j]) < len(owned[k]):
-                                    j, k = k, j
-                                link[k] = j
-                                owned[j] += owned[k]
-                                todo[j] += todo[k]
-                                k, t = j, todo[j]
-                                roots -= 1
-                                if roots == 1:
-                                    return None
-                    if t:
-                        running.append(k)
-                if met != roots:  # a search that met another may have run out since
-                    running = [k for k in dict.fromkeys(running) if link[k] == k and todo[k]]
-                live = running
-            done = [k for k in todo if link[k] == k and not todo[k]]
-            rest = len(done) < roots
+                        while link[j] != j:
+                            j = link[j]
+                        if j != k:  # as above, and the searches' to-do lists join
+                            if len(owned[j]) < len(owned[k]):
+                                j, k = k, j
+                            link[k] = j
+                            owned[j] += owned[k]
+                            todo[j] += todo[k]
+                            k, t = j, todo[j]
+                            roots -= 1
+                            if roots == 1:
+                                return None
+                if t:
+                    running.append(k)
+            if met != roots:  # a search that met another may have run out since
+                running = [k for k in dict.fromkeys(running) if link[k] == k and todo[k]]
+            live = running
+        done = [k for k in todo if link[k] == k and not todo[k]]
+        rest = len(done) < roots
         # a finished part's states are the runs of the key headed by its
         # variables; the rest lies between the runs
         M, block, first, out, runs = self.M, self.block, self.first, [], []
@@ -335,7 +334,7 @@ def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: i
             if len(key) == 1:  # one clause: nothing below it needs the input clauses
                 nvars = size[key[0]]
             elif lit is None:  # the root: every clause seeds the split
-                parts = res.parts(key, nvars, res.vars, whole=True)
+                parts = res.parts(key, nvars, res.vars)
             elif lit:
                 record, nvars, parts = assign(key, lit, nvars)
             if parts:  # the frame: key, undo record, count, 0, parts, their gates, product

@@ -297,8 +297,9 @@ class TestComputeU:
                         ), (clause, x, tau)
 
     def test_one_call_per_decision_step(self, fstar, monkeypatch):
-        """Both branches of a stage gate come from one walk, and the stage
-        loop does not go through the checked public entry."""
+        """Both branches of a stage gate come from one walk, one decision
+        step makes each cache entry, the first stage's too, and the stage
+        loop calls none of the checked public queries."""
         rng = random.Random(11)
         formulas = [fstar] + [random_beta_acyclic_cnf(rng, max_vars=10, max_clauses=16)
                               for _ in range(200)]
@@ -313,14 +314,21 @@ class TestComputeU:
             calls[-1] += 1
             return walk(self, *args)
 
-        def refused_U(self, *args):
-            raise AssertionError("the stage loop called compute_U")
+        def refused(name):
+            def query(self, *args):
+                raise AssertionError(f"the stage loop called {name}")
+            return query
 
         monkeypatch.setattr(Compiler, "decision_step", counted_step)
         monkeypatch.setattr(Compiler, "_walk", counted_walk)
-        monkeypatch.setattr(Compiler, "compute_U", refused_U)
+        monkeypatch.setattr(Compiler, "compute_U", refused("compute_U"))
+        monkeypatch.setattr(Compiler, "reachable_edges", refused("reachable_edges"))
+        monkeypatch.setattr(Compiler, "restriction_above", refused("restriction_above"))
         for formula in formulas:
-            compile_cnf(formula)
+            before = len(calls)
+            compiler = Compiler(formula)
+            compiler.run()
+            assert len(calls) - before == len(compiler.cache)
         assert len(calls) > 200 and set(calls) == {1}
 
 

@@ -23,7 +23,7 @@ from betadnnf import (
     write_nnf,
 )
 from betadnnf import hypergraph
-from betadnnf.dpll import DpllStats, OrderStrategy, search
+from betadnnf.dpll import DpllStats, OrderStrategy, _Residuals, search
 from betadnnf.errors import BudgetExceededError, NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 
@@ -260,6 +260,42 @@ class TestAgainstReference:
         _, stats = count_dpll(formula, OrderStrategy.lexicographic())
         assert stats.component_splits == 1
         assert_matches_reference(formula, OrderStrategy.lexicographic())
+
+
+class TestRootSplit:
+    """The root takes the seeded split of every branch, with every clause
+    as a seed, and finds the formula's connected components."""
+
+    @staticmethod
+    def root_parts(formula):
+        priority = OrderStrategy.reverse_beta_elimination().priority(formula)
+        res = _Residuals(formula.clauses, priority)
+        return res, res.parts(res.root, res.nvars, res.vars)
+
+    def test_one_part_per_component(self):
+        rng = random.Random(20)
+        for _ in range(60):
+            clauses, shift = [], 0
+            for size in rng.sample(range(2, 15), rng.randint(2, 6)):
+                block = random_beta_acyclic_cnf(rng, max_vars=size, max_clauses=2 * size)
+                clauses += [[l + shift if l > 0 else l - shift for l in c.literals] for c in block.clauses]
+                shift += max(block.variables)
+            formula = CnfFormula.from_ints(clauses)
+            res, parts = self.root_parts(formula)
+            blocks = hypergraph.connected_components(hypergraph_of(formula))
+            assert len(parts) == len(blocks)
+            assert sorted(n for _, _, n in parts) == sorted(len(b.vertices) for b in blocks)
+            assert sorted(s for _, key, _ in parts for s in key) == list(res.root)
+
+    def test_connected_formula_is_not_split(self):
+        rng = random.Random(21)
+        formulas = [chain_cnf(50), CnfFormula.from_ints(interval3_clauses(40))]
+        formulas += [random_beta_acyclic_cnf(rng, max_vars=12) for _ in range(100)]
+        connected = [f for f in formulas
+                     if len(hypergraph.connected_components(hypergraph_of(f))) == 1]
+        assert len(connected) > 30
+        for formula in connected:
+            assert self.root_parts(formula)[1] is None
 
 
 class TestMemory:
