@@ -64,15 +64,35 @@ def _width(formula: cnf_mod.CnfFormula) -> int:
 
 
 def _decimal(n: int) -> str:
-    """n in decimal; the interpreter's int-to-text digit limit, if any, is lifted for this call only."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if not limit:
+    """n in decimal, in near-linear time: `str` is quadratic on CPython
+    3.11 and refuses past the interpreter's digit limit, so it only takes
+    ints under the least limit that can be set, and larger ones go by
+    divide and conquer on `decimal` (libmpdec multiplies large numbers in
+    subquadratic time), the method of CPython 3.12's
+    `_pylong.int_to_decimal_string`."""
+    if n.bit_length() <= 2_000:  # 603 digits, below the least settable limit of 640
         return str(n)
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    import decimal  # only here: importing it at the top would cost every run
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:  # 2**w, kept: the halvings meet few distinct w
+        if w not in powers:
+            powers[w] = decimal.Decimal(2) ** w if w <= 128 else power(w >> 1) * power(w - (w >> 1))
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:  # m < 2**w
+        if w <= 128:
+            return decimal.Decimal(m)
+        half = w >> 1
+        high = m >> half
+        return convert(m - (high << half), half) + convert(high, w - half) * power(half)
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def _refuse_wider(width: int, cap: int, what: str) -> None:

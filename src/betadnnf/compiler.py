@@ -9,11 +9,12 @@ edge's prefixes are hash-consed into a trie (Filliatre & Conchon, 2006),
 so a restriction is one node id, which names its edge and stage and keys
 the cache: the twin of the interned rank-order suffixes of `dpll`. A stage
 gate is a decision on x whose branches are decomposable conjunctions of
-gates from earlier stages. Both branches lie in one reachable set and
-share its tops in the reachability forest, so one walk serves both. The
-first stage is the same walk with no predecessor to look up: a piece makes
-its branch false. The gate for the largest edge of each connected
-component at the last stage computes that component.
+gates from earlier stages. The forest moves once per stage. Both branches
+lie in one reachable set, whose forest tops depend only on the edge and
+stage: one walk serves both, the edge's clauses share the tops, and each
+piece's gate is a bisect and a cache read (`lookup` inline). The first
+stage is the same walk with no predecessor: a piece makes its branch
+false. Each component's largest edge computes it at the last stage.
 """
 from __future__ import annotations
 
@@ -204,34 +205,35 @@ class Compiler:
         node, falsified = top, frozenset([-l for l in above])
         for v in expected:  # None once no clause on the edge is falsified so far
             node = self.intern.get((node, v if v in falsified else -v))
-        branches = self._walk(top, x, len(expected), node, falsified)
+        self._forest_at(rank[x] - 1)
+        branches = self._walk(top, x, rank[x], len(expected), node, falsified, [])
         return tuple([(self.edges[g], cid) for g, cid in pieces] for pieces in branches)
 
-    def _walk(self, top: int, x: int, k: int, node: int | None, falsified: frozenset[int]) -> list:
-        """`compute_U` by indices; `falsified` holds the restriction's literals after x, maybe more. A
-        clause on the top edge fails a branch iff it reaches `node`, their k-prefix, and differs on x."""
-        rx = self.rank[x]
-        self._forest_at(rx - 1)
-        parent, children = self._parent, self._children
-        tops, walked = [], set()
-        for g in self.edges_with[x]:
-            if g > top:
-                break
-            while g not in walked:
-                walked.add(g)
-                if parent[g] > top:
-                    tops.append(g)
+    def _walk(self, top: int, x: int, rx: int, k: int, node: int | None, falsified: frozenset, tops: list):
+        """`compute_U` by indices on the forest at x's stage; `falsified` holds the restriction's literals
+        after x, maybe more. A clause on the top edge fails a branch iff it reaches `node`, their k-prefix,
+        and differs on x. An edge's clauses share `tops` at a stage: the first walk fills it (top is one)."""
+        parent, children, walked = self._parent, self._children, set()
+        if not tops:
+            for g in self.edges_with[x]:
+                if g > top:
                     break
-                g = parent[g]
+                while g not in walked:
+                    walked.add(g)
+                    if parent[g] > top:
+                        tops.append(g)
+                        break
+                    g = parent[g]
         edge_clauses, prefix, ranked, depth = self.edge_clauses, self.prefix, self.ranked, self.depth
-        branches = []
+        branches, nx = [], -rx
         for b in (x, -x):
             stack, pieces = list(tops), []
             while stack:
                 g = stack.pop()
                 for cid, literals in edge_clauses[g]:
                     if (prefix[cid][k] == node and ranked[cid][k] != b if g == top else b not in literals
-                            and falsified.isdisjoint(map(neg, ranked[cid][:bisect_left(depth[cid], -rx)]))):
+                            and ((d := depth[cid])[0] >= nx  # no literal after x
+                                 or falsified.isdisjoint(map(neg, ranked[cid][:bisect_left(d, nx)])))):
                         pieces.append((g, cid))
                         break
                 else:
@@ -257,37 +259,45 @@ class Compiler:
             raise AssertionError(f"uncomputed sub-circuit requested: {key}")
         return gate
 
-    def decision_step(self, clause_id: int, x: int) -> int:
-        """Emit the gate on x for the given clause; both branches, from one
-        walk, are conjunctions of gates cached at the predecessor stage, and
-        an empty conjunction is constant true. The first stage has no
-        predecessor to look up, and a piece there makes its branch false."""
-        k, prefix = bisect_left(self.depth[clause_id], -self.rank[x]), self.prefix[clause_id]
-        hi, lo = self._walk(prefix[0], x, k, prefix[k], self.clauses[clause_id].literals)
-        y, lookup, builder = self.order.predecessor(x), self.lookup, self.builder
-        if y is None:  # x is a nest point, so a piece lies within the edge: a unit on x
-            if not all(self.edges[g] <= self.edges[prefix[0]] for g, _ in hi + lo):
+    def decision_step(self, clause_id: int, x: int, k: int, tops: list[int]) -> int:
+        """Emit the gate on x for the given clause, with k literals above x, on the
+        forest at x's stage and with `_walk`'s `tops`. Both branches, from one walk,
+        are conjunctions of gates cached at the predecessor stage, and an empty
+        conjunction is constant true. The first stage has no predecessor to look
+        up, and a piece there makes its branch false."""
+        mine, rx, builder = self.prefix[clause_id], self.rank[x], self.builder
+        hi, lo = self._walk(mine[0], x, rx, k, mine[k], self.clauses[clause_id].literals, tops)
+        if not rx:  # x is a nest point, so a piece lies within the edge: a unit on x
+            if not all(self.edges[g] <= self.edges[mine[0]] for g, _ in hi + lo):
                 raise AssertionError("first-stage residual is not a unit over the first variable")
             if hi and lo:
                 return builder.false()
             return builder.literal(x if lo else -x) if hi or lo else builder.true()
-        hi, lo = [builder.and_([lookup(cid, y) for _, cid in pieces]) for pieces in (hi, lo)]
-        return builder.decision(x, hi, lo)
+        cache, depth, prefix, ny, gates = self.cache, self.depth, self.prefix, 1 - rx, []
+        for pieces in (hi, lo):  # `lookup` at the predecessor, of negated rank ny, inline
+            kids = []
+            for _, cid in pieces:
+                i = bisect_left(depth[cid], ny)
+                kids.append(builder.false() if i == len(depth[cid]) else cache.get(prefix[cid][i]))
+                if kids[-1] is None:  # `lookup` refuses the uncomputed key and names it
+                    self.lookup(cid, self.order.sequence[rx - 1])
+            gates.append(builder.and_(kids))
+        return builder.decision(x, *gates)
 
     def run(self) -> tuple[NnfCircuit, CompileReport]:
-        cache, prefix = self.cache, self.prefix
+        cache, prefix, decision_step = self.cache, self.prefix, self.decision_step
         # stages run by ascending rank: an edge's t-th is t-th from the end of its ranked list
-        unstaged = [len(e) for e in self.edges]
-        cumulative = 0
-        for x in self.order.sequence:
+        unstaged, cumulative = [len(e) for e in self.edges], 0
+        for rx, x in enumerate(self.order.sequence):
             cumulative += self.clause_counts[x]
+            self._forest_at(rx - 1)  # once per stage, which every walk below reads
             for j in self.edges_with[x]:
                 unstaged[j] -= 1
-                k = unstaged[j]  # the clauses' restrictions above x have k literals
+                k, tops = unstaged[j], []  # the clauses' restrictions above x have k literals
                 for cid, _ in self.edge_clauses[j]:
                     node = prefix[cid][k]
                     if node not in cache:
-                        cache[node] = self.decision_step(cid, x)
+                        cache[node] = decision_step(cid, x, k, tops)
             if len(self.builder) > 7 * cumulative:
                 raise AssertionError("gate ledger exceeded: more than 7 gates per incidence")
         # the last forest's roots are the components' largest edges, taken by
@@ -302,7 +312,7 @@ class Compiler:
         output = self.builder.and_(self.lookup(self.edge_clauses[g][0][0], last) for g in tops)
         self.full_circuit = self.builder.build(output)
         circuit = prune_unreachable(self.full_circuit)
-        bound = 7 * self.formula.size + max(1, len(tops)) + 3
+        bound = 7 * (size := self.formula.size) + max(1, len(tops)) + 3
         if circuit.size > bound:
             raise AssertionError(f"{circuit.size} gates exceed the size bound {bound}")
         report = CompileReport(
@@ -312,7 +322,7 @@ class Compiler:
             elimination_order=self.order.sequence,
             wall_time_seconds=time.perf_counter() - self._start,
             components=len(tops),
-            formula_size=self.formula.size,
+            formula_size=size,
         )
         return circuit, report
 

@@ -29,8 +29,10 @@ component to x first meets a clause holding x; if that clause advanced,
 it is in the component, else the variable the path entered it by is one
 of its variables. So components are searched from those seeds only, one
 search per seed, interleaved; searches that meet merge, and the split
-stops once one search is left or all but one have run out. The root
-seeds every clause and takes the same split.
+stops once one search is left or all but one have run out; a search
+whose variables' live clauses are all seeds has run out from the start.
+The root seeds every clause and takes the same split, reading no
+occurrence list.
 """
 from __future__ import annotations
 
@@ -182,7 +184,7 @@ class _Residuals:
             for u in vs[c][i + 1:]:
                 if count[u]:
                     seeds.append((u,))
-        parts = self.parts(key, nvars, seeds) if len(seeds) > 1 else None
+        parts = self.parts(key, nvars, seeds, len(advanced)) if len(seeds) > 1 else None
         return (satisfied, advanced), nvars, parts
 
     def undo(self, record) -> None:
@@ -195,13 +197,14 @@ class _Residuals:
             for u in vs[c][i + 1:]:
                 count[u] += 1
 
-    def parts(self, key: tuple[int, ...], nvars: int, seeds):
+    def parts(self, key: tuple[int, ...], nvars: int, seeds, whole: int):
         """The variable-disjoint parts of the current residual, with key
         `key` and `nvars` variables, as [(order, part key, variable count)]
         sorted by first clause; None when it is connected. `seeds` are
         sequences of variables, each within one part, and every part holds
-        one of them. The root seeds every clause, so each of its searches
-        already holds a whole part, and the search below only confirms it."""
+        one of them; the first `whole` are the variables of distinct live
+        clauses. A search whose variables' live clauses are all seeds holds
+        a whole part and expands nothing: at the root, every search."""
         owner: dict[int, int] = {}  # variable -> the search that took it
         link, owned = [], []  # per search: the one it joined, its variables
         roots = 0
@@ -227,11 +230,18 @@ class _Residuals:
                     roots -= 1
         if roots == 1:
             return None
-        live = [k for k in range(len(link)) if link[k] == k]
+        seeded = [0] * len(link)  # per search, the variables of its clause seeds, with multiplicity
+        for n in range(whole):
+            j = owner[seeds[n][0]]
+            while link[j] != j:
+                j = link[j]
+            seeded[j] += len(seeds[n])
         # one step of each running search per round: a search that runs
         # out has found a whole part, and the last one running the rest
-        pos, occ, vs, seen = self.pos, self.occ, self.vars, set()
-        todo = {k: owned[k][:] for k in live}  # variables still to expand
+        pos, occ, vs, seen, count = self.pos, self.occ, self.vars, set(), self.count
+        todo = {k: owned[k][:] if sum(map(count.__getitem__, owned[k])) > seeded[k] else []
+                for k in range(len(link)) if link[k] == k}  # variables still to expand
+        live = [k for k, t in todo.items() if t]
         while len(live) > 1:
             running, met = [], roots
             for k in live:
@@ -334,7 +344,7 @@ def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: i
             if len(key) == 1:  # one clause: nothing below it needs the input clauses
                 nvars = size[key[0]]
             elif lit is None:  # the root: every clause seeds the split
-                parts = res.parts(key, nvars, res.vars)
+                parts = res.parts(key, nvars, res.vars, len(res.vars))
             elif lit:
                 record, nvars, parts = assign(key, lit, nvars)
             if parts:  # the frame: key, undo record, count, 0, parts, their gates, product

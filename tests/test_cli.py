@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -105,6 +106,37 @@ class TestCount:
         digits = out.splitlines()[0]  # read back in pieces, each under the limit
         assert int(digits[:-4000]) * 10**4000 + int(digits[-4000:]) == 2**width - 1
         assert limit() == before  # restored, so parsing keeps it
+
+    def test_decimal_equals_str_on_seeded_ints(self):
+        rng = random.Random(1_000_000)
+        cases = [0, 1, -1, 1 << 128, (1 << 2_000) - 1, 1 << 2_000, -(1 << 2_000)]
+        for bits in (100, 129, 2_001, 14_001, 60_000, 250_000):
+            cases += [rng.getrandbits(bits) | 1 << (bits - 1), -rng.getrandbits(bits), (1 << bits) - 1]
+        cases.append(rng.getrandbits(1_000_000) | 1 << 999_999)  # `str` alone takes seconds here
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(n) for n in cases]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert [cli._decimal(n) for n in cases] == expected
+
+    def test_a_padded_count_prints_in_near_linear_time(self, capsys, tmp_path):
+        # 2**39,999,999 has 12,041,200 digits; `str` on CPython 3.11 would take about 46 min
+        path = tmp_path / "padded.cnf"
+        path.write_text("p cnf 40000000 1\n1 0\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        digits = out.rstrip("\n")
+        assert len(digits) == 12_041_200
+        assert digits.endswith(str(pow(2, 39_999_999, 10 ** 30)).zfill(30))
+        leading = decimal.Context(prec=40, Emax=decimal.MAX_EMAX).power(decimal.Decimal(2), 39_999_999)
+        assert digits[:30] == str(leading).replace(".", "")[:30]
+        assert elapsed < 5
 
     def test_dpll_falls_back_to_lex_order(self, capsys):
         code, out, _ = run(capsys, "count", os.path.join(GOLDEN, "triangle.cnf"),

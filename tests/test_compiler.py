@@ -25,6 +25,7 @@ from betadnnf.dpll import OrderStrategy, count_dpll, search
 from betadnnf.errors import NotBetaAcyclicError
 from betadnnf.generators import chain_cnf, random_beta_acyclic_cnf
 from betadnnf.hypergraph import EliminationOrder, beta_elimination_order, sub_hypergraph
+from betadnnf.lowerbounds import hat
 
 import compiler_reference
 from conftest import (
@@ -306,9 +307,9 @@ class TestComputeU:
         calls = []
         decision_step, walk = Compiler.decision_step, Compiler._walk
 
-        def counted_step(self, clause_id, x):
+        def counted_step(self, *args):
             calls.append(0)
-            return decision_step(self, clause_id, x)
+            return decision_step(self, *args)
 
         def counted_walk(self, *args):
             calls[-1] += 1
@@ -330,6 +331,36 @@ class TestComputeU:
             compiler.run()
             assert len(calls) - before == len(compiler.cache)
         assert len(calls) > 200 and set(calls) == {1}
+
+    def test_clauses_of_an_edge_share_one_tops_walk(self, monkeypatch):
+        """The tops of R(j, x) depend only on the edge and the stage: the
+        first decision step of edge j at stage x finds them, and each later
+        clause of j at x walks both branches from that list to the pieces a
+        walk of its own would find."""
+        rng = random.Random(12)
+        formulas = [CnfFormula.from_ints([[1, 2, 3], [-1, 2, -3], [1, -2, 3], [-3, 4], [3, 4]])]
+        formulas += [random_beta_acyclic_cnf(rng, max_vars=8, max_clauses=20, max_edges=6)
+                     for _ in range(150)]
+        walk, fills, shared = Compiler._walk, Counter(), Counter()
+
+        def checked_walk(self, top, x, rx, k, node, falsified, tops):
+            found = list(tops)
+            branches = walk(self, top, x, rx, k, node, falsified, tops)
+            if not found:
+                fills[x, top] += 1
+            else:
+                assert tops == found
+                assert branches == walk(self, top, x, rx, k, node, falsified, [])
+                shared["walks"] += 1
+                shared["both branches with pieces"] += all(branches)
+            return branches
+
+        monkeypatch.setattr(Compiler, "_walk", checked_walk)
+        for formula in formulas:
+            fills.clear()
+            Compiler(formula).run()
+            assert set(fills.values()) <= {1}
+        assert shared["walks"] > 100 and shared["both branches with pieces"] > 20, shared
 
 
 class TestRestrictionAbove:
@@ -408,7 +439,9 @@ class TestAgainstTheTupleKeyCompiler:
             yield random_beta_acyclic_cnf(rng)
         for n in (50, 200):
             yield chain_cnf(n)
+        for n in (50, 200, 800):
             yield CnfFormula.from_ints(interval3_clauses(n))
+            yield hat(chain_cnf(n))
         yield CnfFormula.from_ints([wide_clause(200)])
         for j in range(1, 21):
             yield CnfFormula.from_ints(nested_clauses(j))
@@ -432,7 +465,7 @@ class TestAgainstTheTupleKeyCompiler:
             assert len(new.cache) == len(old.cache)
             assert decoded_cache(new) == old.cache
             compared += 1
-        assert compared == 3 + 300 + 4 + 1 + 20  # the golden triangle is refused
+        assert compared == 3 + 300 + 2 + 6 + 1 + 20  # the golden triangle is refused
 
     def test_compute_U_matches_on_every_stage(self):
         """Every (clause, x) of random formulas, with the clause's own

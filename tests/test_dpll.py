@@ -270,7 +270,7 @@ class TestRootSplit:
     def root_parts(formula):
         priority = OrderStrategy.reverse_beta_elimination().priority(formula)
         res = _Residuals(formula.clauses, priority)
-        return res, res.parts(res.root, res.nvars, res.vars)
+        return res, res.parts(res.root, res.nvars, res.vars, len(res.vars))
 
     def test_one_part_per_component(self):
         rng = random.Random(20)
@@ -286,6 +286,26 @@ class TestRootSplit:
             assert len(parts) == len(blocks)
             assert sorted(n for _, _, n in parts) == sorted(len(b.vertices) for b in blocks)
             assert sorted(s for _, key, _ in parts for s in key) == list(res.root)
+
+    def test_disconnected_root_scans_no_occurrence_list(self):
+        """Every clause seeds the root, so no variable has a clause left to
+        find: the parts come from the seeds alone."""
+        class Unread(dict):
+            def __getitem__(self, v):
+                raise AssertionError(f"the occurrence list of {v} was scanned")
+
+        rng = random.Random(22)
+        for _ in range(40):
+            clauses, shift = [], 0
+            for size in rng.sample(range(2, 12), rng.randint(2, 5)):
+                block = random_beta_acyclic_cnf(rng, max_vars=size, max_clauses=2 * size)
+                clauses += [[l + shift if l > 0 else l - shift for l in c.literals] for c in block.clauses]
+                shift += max(block.variables)
+            formula = CnfFormula.from_ints(clauses)
+            res, expected = self.root_parts(formula)
+            res.occ = Unread(res.occ)
+            assert len(expected) > 1
+            assert res.parts(res.root, res.nvars, res.vars, len(res.vars)) == expected
 
     def test_connected_formula_is_not_split(self):
         rng = random.Random(21)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import sys
 import time
-import tracemalloc
 
 import bench_dpll
 
@@ -45,25 +44,22 @@ def clauses_of(family: str, n: int) -> list[list[int]]:
     return bench_dpll.clauses_of(family.removesuffix("-long"), n)
 
 
-def measure(family: str, n: int) -> dict:
-    """One timing, the peak and the counts for the `betadnnf` found on sys.path."""
+def measure(family: str, n: int, peak: bool = True) -> dict:
+    """One timing, the peak (unless not `peak`) and the counts for the `betadnnf` found on sys.path."""
     from betadnnf import CnfFormula
     from betadnnf.compiler import Compiler
 
     formula = CnfFormula.from_ints(clauses_of(family, n))
     formula._elimination_order()
     start = time.perf_counter()
-    Compiler(formula).run()
+    compiler = Compiler(formula)
+    _, report = compiler.run()
     compile_s = time.perf_counter() - start
-    tracemalloc.start()
-    try:
-        compiler = Compiler(formula)
-        _, report = compiler.run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"compile_s": compile_s, "compile_peak_bytes": peak, "formula_size": report.formula_size,
-            "gates": report.gates, "cache_entries": len(compiler.cache)}
+    row = {"compile_s": compile_s, "formula_size": report.formula_size, "gates": report.gates,
+           "cache_entries": len(compiler.cache)}
+    if peak:
+        row["compile_peak_bytes"] = bench_dpll.traced_peak(lambda: Compiler(formula).run())
+    return row
 
 
 if __name__ == "__main__":

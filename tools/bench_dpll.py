@@ -4,8 +4,10 @@ For each family and size: seconds of `count_dpll` and of a traced
 `search`, the tracemalloc peak of a traced search, and its `DpllStats`;
 per family, the least-squares slope of log(seconds) and log(peak) over
 log(size). Every measurement runs in a fresh interpreter, and a row keeps
-the least seconds and peak of its repeats, and next to each its spread
-over them (largest over least, less one). With `--baseline REV`, the
+the least seconds of its repeats, and next to each its spread over them
+(largest over least, less one). The peak is traced in the first repeat
+only: it reads the same in every repeat, and a traced run costs up to
+10 times an untraced one. With `--baseline REV`, the
 tree of that commit is extracted by `git archive` into a temporary
 directory as the "before" tree. Each repeat then measures the two trees
 back to back, the first of them alternating, so that a drift of the
@@ -37,7 +39,7 @@ FAMILIES = {
     "interval3": (300, 600, 1200, 2400),
     "wide": (800, 1600, 3200),
 }
-KEYS = ("count_s", "trace_s", "trace_peak_bytes")  # each row keeps the least and spread of these
+KEYS = ("count_s", "trace_s", "trace_peak_bytes")  # each row keeps the least and spread of the times
 SIZE = "n"  # the row field the exponents are fitted over
 REPEATS = 5
 
@@ -58,10 +60,10 @@ def slope(xs, ys) -> float:
     return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
 
 
-def measure(family: str, n: int) -> dict:
-    """One timing of each kind, the peak and the stats for the `betadnnf`
-    found on sys.path. An untimed count first computes the formula's
-    elimination order, which the formula keeps."""
+def measure(family: str, n: int, peak: bool = True) -> dict:
+    """One timing of each kind, the peak (unless not `peak`) and the stats
+    for the `betadnnf` found on sys.path. An untimed count first computes
+    the formula's elimination order, which the formula keeps."""
     from betadnnf import CnfFormula
     from betadnnf.dpll import OrderStrategy, count_dpll, search
 
@@ -72,30 +74,38 @@ def measure(family: str, n: int) -> dict:
     count_dpll(formula, strategy)
     count_s = time.perf_counter() - start
     start = time.perf_counter()
-    search(formula, strategy, trace=True)
+    _, stats, _ = search(formula, strategy, trace=True)
     trace_s = time.perf_counter() - start
+    row = {"count_s": count_s, "trace_s": trace_s, "stats": stats.to_dict()}
+    if peak:
+        row["trace_peak_bytes"] = traced_peak(lambda: search(formula, strategy, trace=True))
+    return row
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of one call."""
     tracemalloc.start()
     try:
-        _, stats, _ = search(formula, strategy, trace=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"count_s": count_s, "trace_s": trace_s, "trace_peak_bytes": peak, "stats": stats.to_dict()}
 
 
-def measure_tree(script: str, src: Path, family: str, n: int) -> dict:
+def measure_tree(script: str, src: Path, family: str, n: int, peak: bool) -> dict:
     """`script`'s measurement in a fresh interpreter importing betadnnf from `src`."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, script, "--measure", family, str(n)],
-                         env=env, check=True, capture_output=True, text=True).stdout
+    argv = [sys.executable, script, "--measure", family, str(n)] + ([] if peak else ["--no-peak"])
+    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
 def measure_trees(tool, trees: dict[str, Path]) -> dict[str, dict]:
     """Rows and exponents of a tool module (see `run`) for each named source
-    tree. A row keeps the least of each of `KEYS` over its repeats, as
-    `<key>_spread` the largest over the least less one, and the other
-    fields of the first."""
+    tree. A row keeps the least of each time in `KEYS` over its repeats, as
+    `<key>_spread` the largest over the least less one, and the peak (a
+    `*_peak_bytes` key) and the other fields of the first repeat, the only
+    one traced."""
     script, families, keys = tool.__file__, tool.FAMILIES, tool.KEYS
     names = list(trees)
     rows: dict[str, list[dict]] = {name: [] for name in names}
@@ -104,10 +114,12 @@ def measure_trees(tool, trees: dict[str, Path]) -> dict[str, dict]:
             runs: dict[str, list[dict]] = {name: [] for name in names}
             for k in range(REPEATS):
                 for name in names if k % 2 == 0 else names[::-1]:
-                    runs[name].append(measure_tree(script, trees[name], family, n))
+                    runs[name].append(measure_tree(script, trees[name], family, n, peak=k == 0))
             for name, got in runs.items():
                 row = {"family": family, "n": n, **got[0]}
                 for key in keys:
+                    if key.endswith("_peak_bytes"):
+                        continue
                     least, most = min(r[key] for r in got), max(r[key] for r in got)
                     row[key] = round(least, 4) if isinstance(least, float) else least
                     row[f"{key}_spread"] = round(most / least - 1, 3)
@@ -135,9 +147,10 @@ def run(argv, tool, extra: dict) -> int:
     parser.add_argument("--baseline", metavar="REV", help="also measure this commit, alternating with the working tree")
     parser.add_argument("-o", "--output", type=Path, help="write the JSON here, not to stdout")
     parser.add_argument("--measure", nargs=2, metavar=("FAMILY", "N"), help=argparse.SUPPRESS)
+    parser.add_argument("--no-peak", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:  # the child process of measure_tree
-        print(json.dumps(tool.measure(args.measure[0], int(args.measure[1]))))
+        print(json.dumps(tool.measure(args.measure[0], int(args.measure[1]), peak=not args.no_peak)))
         return 0
     repo = Path(tool.__file__).resolve().parent.parent
     given = argv if argv is not None else sys.argv[1:]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import sys
 import time
-import tracemalloc
 
 import bench_dpll
 
@@ -49,8 +48,8 @@ def least_seconds(call) -> float:
     return best
 
 
-def measure(family: str, n: int) -> dict:
-    """The timings, the peak and the counts for the `betadnnf` found on sys.path."""
+def measure(family: str, n: int, peak: bool = True) -> dict:
+    """The timings, the peak (unless not `peak`) and the counts for the `betadnnf` found on sys.path."""
     from betadnnf.cnf import hypergraph_of, parse_dimacs
     from betadnnf.hypergraph import beta_condition_violation, beta_elimination_order
 
@@ -61,14 +60,12 @@ def measure(family: str, n: int) -> dict:
     order = beta_elimination_order(hypergraph)
     verify_s = least_seconds(lambda: beta_condition_violation(hypergraph, order))
     control_s = least_seconds(lambda: [set(e) for e in hypergraph.edges])
-    tracemalloc.start()
-    try:
-        beta_elimination_order(hypergraph_of(parse_dimacs(text)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"parse_s": parse_s, "order_s": order_s, "verify_s": verify_s, "control_s": control_s,
-            "front_peak_bytes": peak, "clauses": len(hypergraph), "text_bytes": len(text)}
+    row = {"parse_s": parse_s, "order_s": order_s, "verify_s": verify_s, "control_s": control_s,
+           "clauses": len(hypergraph), "text_bytes": len(text)}
+    if peak:
+        row["front_peak_bytes"] = bench_dpll.traced_peak(
+            lambda: beta_elimination_order(hypergraph_of(parse_dimacs(text))))
+    return row
 
 
 if __name__ == "__main__":
