@@ -34,6 +34,8 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 # DPLL steps in (exponential-time) lex order without `--budget`; reverse-beta is unbudgeted
 LEX_BUDGET = 50_000
+# `rectcover` steps without `--budget` (`lowerbounds.min_rectangle_cover` counts them)
+RECTCOVER_BUDGET = 2_000_000
 
 
 def _read_text(path: str) -> str:
@@ -112,14 +114,15 @@ def cmd_check(args) -> int:
         print(f"stuck at vertices {sorted(found.stuck_vertices)}", file=sys.stderr)
         return EXIT_FAIL
     print("beta-acyclic: yes")
-    print("order: " + " ".join(str(v) for v in found.sequence))
+    print("order: " + " ".join(map(str, found.sequence)))
     return EXIT_OK
 
 
 def cmd_order(args) -> int:
     formula = _load_formula(args.formula)
     order = hg_mod.beta_elimination_order_or_refuse(cnf_mod.hypergraph_of(formula))
-    sys.stdout.write("".join(f"{v}\n" for v in order.sequence))
+    if order.sequence:
+        print("\n".join(map(str, order.sequence)))
     return EXIT_OK
 
 
@@ -231,7 +234,8 @@ def cmd_rectcover(args) -> int:
     width = _width(formula)
     _refuse_wider(width + sum(not 1 <= v <= width for v in left), args.cap_vars, "rectangle")
     right = frozenset(range(1, width + 1)) - left
-    print(lb_mod.min_rectangle_cover(formula, left, right, cap=args.cap_vars))
+    budget = RECTCOVER_BUDGET if args.budget is None else args.budget
+    print(lb_mod.min_rectangle_cover(formula, left, right, cap=args.cap_vars, budget=budget))
     return EXIT_OK
 
 
@@ -265,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap-vars", type=int, default=20, metavar="N",
                         help="enumeration cap for semantic checks (default 20)")
     parser.add_argument("--budget", type=int, default=None, metavar="STEPS",
-                        help=f"abort DPLL search after this many steps (lex order: {LEX_BUDGET})")
+                        help=f"abort DPLL or rectangle-cover search after this many steps "
+                        f"(lex order: {LEX_BUDGET}, rectcover: {RECTCOVER_BUDGET})")
     parser.add_argument("--seed", type=int, default=0, metavar="S",
                         help="seed for generated families")
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
@@ -331,7 +336,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetExceededError as exc:
-        default = " (the lex-order default; --budget sets another)" if args.budget is None else ""
+        what = "rectcover" if args.command == "rectcover" else "lex-order"
+        default = f" (the {what} default; --budget sets another)" if args.budget is None else ""
         print(f"refused: {exc}{default}", file=sys.stderr)
         return EXIT_REFUSED
     except CapExceededError as exc:

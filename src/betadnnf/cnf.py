@@ -10,7 +10,6 @@ import warnings
 from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import compress, count
 
 from .errors import CapExceededError, DimacsParseError
 from .hypergraph import EliminationOrder, Hypergraph, _order_or_refuse, beta_elimination_order
@@ -68,6 +67,9 @@ class Clause:
         return f"Clause({list(self.sorted_literals())})"
 
 
+_EMPTY_CLAUSE = Clause(())
+
+
 def falsifying_assignment(clause: Clause) -> frozenset[Literal]:
     """The unique assignment of var(C) that satisfies no literal of C."""
     return frozenset(-l for l in clause.literals)
@@ -98,7 +100,7 @@ class CnfFormula:
         return sum(len(c) for c in self.clauses)
 
     def has_empty_clause(self) -> bool:
-        return Clause(()) in self.clauses
+        return _EMPTY_CLAUSE in self.clauses
 
     def sorted_clauses(self) -> list[Clause]:
         """Clauses in a canonical, deterministic order."""
@@ -202,7 +204,8 @@ def _block_formula(text: str, lines: list[str]) -> CnfFormula:
     if num_vars < 0 or lits and (lits[-1] != 0 or max(max(lits), -min(lits)) > num_vars):
         raise ValueError
     clauses, start = [], 0
-    for end in compress(count(), map((0).__eq__, lits)):
+    while start < len(lits):  # the last literal is a 0
+        end = lits.index(0, start)
         literals = frozenset(lits[start:end])
         variables = frozenset(map(abs, literals))
         if len(variables) < len(literals):  # a tautology

@@ -108,17 +108,21 @@ def _incidence(edges: list[frozenset[int]]) -> dict[int, list[int]]:
 
 
 def _chain_break(through: list[int], residual: list[set[int]]):
-    """The nest-point test on the edges (indices) through one vertex, each
-    read as its residual (what deletions left of it): two with
+    """The nest-point test on two or more edges (indices) through one
+    vertex, each read as its residual (what deletions left of it): two with
     incomparable residuals, smaller first, or None when they form a chain.
-    A lone edge is not read."""
-    if len(through) < 2:
-        return None
+    Callers pass no lone edge: a vertex on fewer than two edges is a nest
+    point."""
     if len(through) == 2:  # the pair a stable sort by residual size gives
         e, f = through
         if len(residual[f]) < len(residual[e]):
             e, f = f, e
         return None if residual[e] <= residual[f] else (e, f)
+    # sets sorted by size form a chain iff each is a subset of the next,
+    # whatever the order among equal sizes; only a break needs the indices
+    sets = sorted(map(residual.__getitem__, through), key=len)
+    if all(map(set.issubset, sets, sets[1:])):
+        return None
     by_size = sorted(through, key=lambda e: len(residual[e]))
     for e, f in zip(by_size, by_size[1:]):
         if not residual[e] <= residual[f]:  # |f| >= |e|, so f ⊆ e would make e = f
@@ -145,7 +149,7 @@ def _first_violation(edges: list[frozenset[int]], incident: dict[int, list[int]]
     residual = [set(e) for e in edges]
     for x in sequence:
         through = incident.get(x, ())
-        if pair := _chain_break(through, residual):
+        if len(through) > 1 and (pair := _chain_break(through, residual)):
             return x, edges[pair[0]], edges[pair[1]]
         for e in through:
             residual[e].discard(x)
@@ -180,16 +184,18 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
     sequence: list[int] = []
     while heap:
         x = heapq.heappop(heap)
-        pair = pairs.get(x)
-        if pair is None or (residual[pair[0]] <= residual[pair[1]]
-                            or residual[pair[1]] <= residual[pair[0]]):
-            pair = _chain_break(incident[x], residual)
-        if pair is not None:
-            pairs[x] = pair
-            failed.add(x)
-            continue
+        through = incident[x]
+        if len(through) > 1:  # a lone edge makes x a nest point, and x never failed
+            pair = pairs.get(x)
+            if pair is None or (residual[pair[0]] <= residual[pair[1]]
+                                or residual[pair[1]] <= residual[pair[0]]):
+                pair = _chain_break(through, residual)
+            if pair is not None:
+                pairs[x] = pair
+                failed.add(x)
+                continue
         sequence.append(x)
-        for e in incident[x]:
+        for e in through:
             left = residual[e]
             left.discard(x)
             if failed:

@@ -3,7 +3,8 @@ decompositions and exact MIM-width, induced matchings across cuts,
 combinatorial rectangles with exact minimum covers, and the clause-tag
 transform that widens every clause by a fresh variable.
 
-Everything here is exhaustive search behind small caps.
+Everything here is exhaustive search behind small caps; the rectangle
+cover also takes a step budget.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Iterable, Union
 
 from .circuit import Vtree as BranchDecomposition
 from .cnf import Clause, CnfFormula, _literal_set, hypergraph_of, truth_table_of_formula
-from .errors import CapExceededError
+from .errors import BudgetExceededError, CapExceededError
 from .hypergraph import (
     EliminationOrder,
     beta_elimination_order_or_refuse,
@@ -250,7 +251,7 @@ def is_rectangle(rect: Rectangle) -> bool:
 
 
 def min_rectangle_cover(
-    function, left: Iterable[int], right: Iterable[int], cap: int = 8
+    function, left: Iterable[int], right: Iterable[int], cap: int = 8, budget: int | None = None
 ) -> int:
     """Exact minimum number of rectangles over the split (left, right)
     whose satisfying sets union to the function's satisfying set.
@@ -259,7 +260,21 @@ def min_rectangle_cover(
     assignments, each a set of true literals. Candidates are the maximal
     product subsets of the satisfying set; exact set cover by branch and
     bound.
+
+    Steps count the sets read or built: column sets in the closure that
+    finds the candidates, patterns and members when a candidate is built,
+    candidates in the greedy bound and at each node of the branch and
+    bound. Past `budget` steps, BudgetExceededError; None leaves the
+    search unbounded.
     """
+    steps = 0
+
+    def spend(n: int) -> None:
+        nonlocal steps
+        steps += n
+        if budget is not None and steps > budget:
+            raise BudgetExceededError(f"exceeded {budget} steps", budget)
+
     ls, rs = frozenset(left), frozenset(right)
     if ls & rs:
         raise ValueError(f"split sides overlap on {sorted(ls & rs)}")
@@ -294,17 +309,14 @@ def min_rectangle_cover(
     # each row's meets with the sets so far, row by row, builds every one
     column_sets = set(rows.values())
     for row in rows.values():
+        spend(len(column_sets))
         column_sets |= {cols & row for cols in column_sets if cols & row}
-    rectangles = {
-        frozenset(
-            y | right_patterns[j]
-            for y in left_patterns
-            if rows[y] & cols == cols
-            for j in range(len(right_patterns))
-            if cols >> j & 1
-        )
-        for cols in column_sets
-    }
+    rectangles = set()
+    for cols in column_sets:
+        tall = [y for y in left_patterns if rows[y] & cols == cols]
+        wide = [z for j, z in enumerate(right_patterns) if cols >> j & 1]
+        spend(len(left_patterns) + len(right_patterns) + len(tall) * len(wide))
+        rectangles.add(frozenset(y | z for y in tall for z in wide))
 
     candidates = sorted(rectangles, key=lambda r: (-len(r), sorted(r)))
 
@@ -312,11 +324,13 @@ def min_rectangle_cover(
     uncovered = set(sat)
     greedy = 0
     while uncovered:
+        spend(len(candidates))
         pick_set = max(candidates, key=lambda r: len(r & uncovered))
         uncovered -= pick_set
         greedy += 1
     best = greedy
 
+    spend(len(sat) * len(candidates))
     cover_of = {a: [r for r in candidates if a in r] for a in sat}
 
     def search(uncovered: frozenset[int], used: int) -> None:
@@ -326,6 +340,7 @@ def min_rectangle_cover(
             return
         if used + 1 >= best:
             return
+        spend(len(candidates))
         widest = max(len(r & uncovered) for r in candidates)
         if used + -(-len(uncovered) // widest) >= best:
             return

@@ -422,6 +422,18 @@ class TestLabCommands:
         )
         assert (done.returncode, done.stdout) == (0, "2\n")
 
+    def test_rectcover_is_refused_within_seconds(self, capsys, tmp_path):
+        """The exact cover is exponential well inside the cap of 20 variables:
+        on this 16-variable 3-CNF split 8/8 it stops at the default budget."""
+        path = random_3cnf(tmp_path / "r16.cnf", n=16, m=32, seed=1)
+        start = time.perf_counter()
+        result = run(capsys, "rectcover", path, "--left", "1,2,3,4,5,6,7,8")
+        assert time.perf_counter() - start < 5
+        note = "(the rectcover default; --budget sets another)"
+        assert result == (3, "", f"refused: exceeded {cli.RECTCOVER_BUDGET} steps {note}\n")
+        assert run(capsys, "--budget", "100", "rectcover", path, "--left", "1") == (
+            3, "", "refused: exceeded 100 steps\n")
+
     def test_rectcover_refuses_a_huge_header(self, capsys, tmp_path):
         path = tmp_path / "huge.cnf"
         path.write_text("p cnf 1000000000 1\n1 2 0\n")

@@ -142,11 +142,24 @@ class TestOrderEngine:
         ([{1, v} for v in range(2, 2002)], (*range(2, 2001), 1, 2001)),
         ([range(1, 2001)], tuple(range(1, 2001))),
         ([range(1, k + 1) for k in range(1, 301)], tuple(range(1, 301))),
-    ], ids=["star", "one-edge", "nested"])
-    def test_shapes(self, edges, sequence):
+        # 1 and 2 fail on the two residuals of size 3, incomparable, until 3 goes
+        ([{1, 2, 3}, {1, 2, 4}, {1, 2, 3, 4, 5}], (3, 1, 2, 4, 5)),
+    ], ids=["star", "one-edge", "nested", "equal-sizes"])
+    def test_shapes(self, edges, sequence, monkeypatch):
+        """The greedy, its re-verification and the verifier test no vertex
+        on fewer than two edges: such a vertex is a nest point."""
+        read = []
+        chain_break = hypergraph_mod._chain_break
+
+        def counted(through, residual):
+            read.append(len(through))
+            return chain_break(through, residual)
+
+        monkeypatch.setattr(hypergraph_mod, "_chain_break", counted)
         h = Hypergraph(edges)
         assert beta_elimination_order(h).sequence == sequence
         assert beta_condition_violation(h, EliminationOrder(sequence)) is None
+        assert min(read, default=2) >= 2
 
     @pytest.mark.parametrize("leaves", [1000, 4000])
     def test_star_reads_linearly_many_edges(self, leaves, monkeypatch):

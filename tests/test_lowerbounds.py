@@ -14,7 +14,7 @@ from betadnnf import (
     mimw_of_decomposition,
     exact_mimw,
 )
-from betadnnf.errors import CapExceededError, NotBetaAcyclicError
+from betadnnf.errors import BudgetExceededError, CapExceededError, NotBetaAcyclicError
 from betadnnf.generators import random_beta_acyclic_cnf, random_beta_acyclic_hypergraph
 from betadnnf.lowerbounds import (
     BranchDecomposition,
@@ -197,6 +197,15 @@ class TestMinRectangleCover:
         left = set(range(1, k + 1))
         right = set(range(k + 1, 2 * k + 1))
         assert min_rectangle_cover(formula, left, right) == expected
+
+    @pytest.mark.parametrize("k,least", [(1, 28), (2, 128), (3, 592)])
+    def test_budget_counts_the_steps(self, k, least):
+        """`least` steps answer and one fewer refuses."""
+        formula = matching_formula(k)
+        left, right = set(range(1, k + 1)), set(range(k + 1, 2 * k + 1))
+        assert min_rectangle_cover(formula, left, right, budget=least) == 2**k
+        with pytest.raises(BudgetExceededError, match=f"exceeded {least - 1} steps"):
+            min_rectangle_cover(formula, left, right, budget=least - 1)
 
     def test_constant_false(self):
         formula = CnfFormula([Clause([]), Clause([1]), Clause([2])])
