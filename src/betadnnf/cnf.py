@@ -103,8 +103,11 @@ class CnfFormula:
         return _EMPTY_CLAUSE in self.clauses
 
     def sorted_clauses(self) -> list[Clause]:
-        """Clauses in a canonical, deterministic order."""
-        return sorted(self.clauses, key=lambda c: tuple(sorted(2 * abs(l) + (l < 0) for l in c.literals)))
+        """Clauses in a canonical order, by literals l as 2|l| + (l < 0); kept, a fresh list per call."""
+        if (found := self.__dict__.get("_sorted")) is None:
+            key = lambda c: tuple(sorted([l + l if l > 0 else 1 - l - l for l in c.literals]))
+            object.__setattr__(self, "_sorted", found := tuple(sorted(self.clauses, key=key)))
+        return list(found)
 
     def _elimination_order(self) -> tuple[Hypergraph, EliminationOrder]:
         """The hypergraph and greedy order, kept; NotBetaAcyclicError on each call if stuck."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import neg
 from typing import Iterable, NamedTuple
 
@@ -79,9 +78,10 @@ class Compiler:
                     f"conflict at vertex {x}"
                 )
         self.order = order
-        self.rank = order.rank
+        self.rank = rank = order.rank
         # edges in edge order (by `EliminationOrder.edge_key`); an edge is named by its position here
-        keyed = sorted([(order.edge_key(e), e) for e in self.hypergraph.edges])
+        keyed = sorted([(tuple(sorted(map(rank.__getitem__, e), reverse=True)), e)
+                        for e in self.hypergraph.edges])
         self.edges: list[frozenset[int]] = [e for _, e in keyed]
         self.edge_index = edge_index = {e: i for i, e in enumerate(self.edges)}
         self.clauses: list[Clause] = formula.sorted_clauses()
@@ -90,24 +90,27 @@ class Compiler:
         # ranked, is found by bisecting its edge's negated ranks, and its trie node is in `prefix`:
         # the root is the edge's index, and `intern` maps (node, literal l) to the node after it on
         # l; a clause's whole list kills it (`lookup`'s constant false) and gets no node
-        self.edge_ranked = [tuple([order.sequence[r] for r in ranks]) for ranks, _ in keyed]
+        self.edge_ranked = edge_ranked = [tuple(map(order.sequence.__getitem__, ranks)) for ranks, _ in keyed]
         self.edge_clauses: list[list[tuple[int, frozenset[int]]]] = [[] for _ in self.edges]
-        edge_depth = [tuple([-r for r in ranks]) for ranks, _ in keyed]
-        self.ranked, self.depth, self.prefix = [], [], []
+        edge_depth = [tuple(map(neg, ranks)) for ranks, _ in keyed]
+        self.ranked, self.depth, self.prefix = ranked_of, depth, prefix = [], [], []
         self.intern = intern = {}
-        extend = lambda node, l, m=len(self.edges): intern.setdefault((node, l), len(intern) + m)
+        m = len(self.edges)
         for cid, c in enumerate(self.clauses):
             j, literals = edge_index[c.variables], c.literals
             self.edge_clauses[j].append((cid, literals))
-            self.ranked.append(ranked := tuple([v if v in literals else -v for v in self.edge_ranked[j]]))
-            self.depth.append(edge_depth[j])
-            self.prefix.append(tuple(accumulate(ranked[:-1], extend, initial=j)))
-        self.edges_with: dict[int, list[int]] = {x: [] for x in order.sequence}
+            ranked_of.append(ranked := tuple([v if v in literals else -v for v in edge_ranked[j]]))
+            depth.append(edge_depth[j])
+            nodes = [node := j]
+            for l in ranked[:-1]:
+                nodes.append(node := intern.setdefault((node, l), len(intern) + m))
+            prefix.append(tuple(nodes))
+        self.edges_with: dict[int, list[int]] = (edges_with := {x: [] for x in order.sequence})
         self.clause_counts = counts = dict.fromkeys(order.sequence, 0)
-        for j, e in enumerate(self.edges):
+        for j, (e, clauses) in enumerate(zip(self.edges, self.edge_clauses)):
             for v in e:
-                self.edges_with[v].append(j)
-                counts[v] += len(self.edge_clauses[j])
+                edges_with[v].append(j)
+                counts[v] += len(clauses)
         self.builder = CircuitBuilder()
         self.cache: dict[int, int] = {}  # trie node of a restriction -> its gate
         self._cutoff = len(order)  # past every rank: the first query builds the forest
@@ -213,8 +216,9 @@ class Compiler:
         """`compute_U` by indices on the forest at x's stage; `falsified` holds the restriction's literals
         after x, maybe more. A clause on the top edge fails a branch iff it reaches `node`, their k-prefix,
         and differs on x. An edge's clauses share `tops` at a stage: the first walk fills it (top is one)."""
-        parent, children, walked = self._parent, self._children, set()
+        parent, children = self._parent, self._children
         if not tops:
+            walked = set()
             for g in self.edges_with[x]:
                 if g > top:
                     break
@@ -238,7 +242,8 @@ class Compiler:
                         break
                 else:
                     stack.extend(children[g])
-            pieces.sort()
+            if len(pieces) > 1:
+                pieces.sort()
             branches.append(pieces)
         return branches
 
@@ -277,28 +282,29 @@ class Compiler:
         for pieces in (hi, lo):  # `lookup` at the predecessor, of negated rank ny, inline
             kids = []
             for _, cid in pieces:
-                i = bisect_left(depth[cid], ny)
-                kids.append(builder.false() if i == len(depth[cid]) else cache.get(prefix[cid][i]))
+                i = bisect_left(d := depth[cid], ny)
+                kids.append(builder.false() if i == len(d) else cache.get(prefix[cid][i]))
                 if kids[-1] is None:  # `lookup` refuses the uncomputed key and names it
                     self.lookup(cid, self.order.sequence[rx - 1])
-            gates.append(builder.and_(kids))
-        return builder.decision(x, *gates)
+            gates.append(kids[0] if len(kids) == 1 else builder.and_(kids))  # one piece is the branch
+        return builder.decision(x, gates[0], gates[1])
 
     def run(self) -> tuple[NnfCircuit, CompileReport]:
-        cache, prefix, decision_step = self.cache, self.prefix, self.decision_step
+        cache, prefix, decision_step, builder = self.cache, self.prefix, self.decision_step, self.builder
+        counts, edges_with, edge_clauses = self.clause_counts, self.edges_with, self.edge_clauses
         # stages run by ascending rank: an edge's t-th is t-th from the end of its ranked list
         unstaged, cumulative = [len(e) for e in self.edges], 0
         for rx, x in enumerate(self.order.sequence):
-            cumulative += self.clause_counts[x]
+            cumulative += counts[x]
             self._forest_at(rx - 1)  # once per stage, which every walk below reads
-            for j in self.edges_with[x]:
+            for j in edges_with[x]:
                 unstaged[j] -= 1
                 k, tops = unstaged[j], []  # the clauses' restrictions above x have k literals
-                for cid, _ in self.edge_clauses[j]:
+                for cid, _ in edge_clauses[j]:
                     node = prefix[cid][k]
                     if node not in cache:
                         cache[node] = decision_step(cid, x, k, tops)
-            if len(self.builder) > 7 * cumulative:
+            if len(builder) > 7 * cumulative:
                 raise AssertionError("gate ledger exceeded: more than 7 gates per incidence")
         # the last forest's roots are the components' largest edges, taken by
         # least edge; parents are above children, so one pass carries it up

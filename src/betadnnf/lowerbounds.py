@@ -289,7 +289,7 @@ def min_rectangle_cover(
             extra = sorted(function.variables - set(variables))
             raise ValueError(f"formula variables {extra} outside the split")
         table = truth_table_of_formula(function, variables)
-        sat = {a for a in range(1 << len(variables)) if table >> a & 1}
+        sat = {a for a, bit in enumerate(bin(table)[:1:-1]) if bit == "1"}  # one pass over the bits
     else:
         rect = Rectangle(ls, rs, function)
         sat = {sum(1 << index[l] for l in tau if l > 0) for tau in rect.satisfying}

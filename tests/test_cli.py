@@ -501,3 +501,41 @@ class TestCliContract:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert err == "error: line 2: non-integer literal 'x'\n"
+
+    def test_every_subcommand_on_hostile_inputs(self, capsys, tmp_path):
+        """Huge declared headers, exponential rectangle covers and dense
+        width graphs: each call answers, fails a property or refuses, prints
+        no traceback and ends within seconds."""
+        huge, wide = tmp_path / "huge.cnf", tmp_path / "wide.cnf"
+        huge.write_text("p cnf 100000000 1\n1 0\n")
+        wide.write_text("p cnf 10000000 1\n1 0\n")
+        nnf = str(tmp_path / "huge.nnf")
+        rng = random.Random(23)
+        dense = lambda n: "".join(f"{u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                                  if rng.random() < 0.7)
+        graphs = {}
+        for n in (8, 9, 20):
+            graphs[n] = tmp_path / f"g{n}.edges"
+            graphs[n].write_text(dense(n) + "".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1)))
+        tree = tmp_path / "g20.tree"
+        tree.write_text("(" + " ".join(map(str, range(1, 21))) + ")\n")
+        calls = [("check", huge), ("order", huge), ("compile", huge, "-o", nnf),
+                 ("verify", nnf, "--against", huge), ("dpll", huge),
+                 ("dpll", huge, "--strategy", "reverse-beta"), ("hat", huge),
+                 ("rectcover", huge, "--left", "1"), ("count", huge, "--method", "brute"),
+                 ("count", wide, "--method", "compile"), ("count", wide, "--method", "dpll"),
+                 ("mimw", graphs[8]), ("mimw", graphs[9]), ("mimw", graphs[20], "--tree", tree)]
+        for n, m in ((16, 32), (20, 60)):
+            left = ",".join(map(str, range(1, n // 2 + 1)))
+            calls.append(("rectcover", random_3cnf(tmp_path / f"r{n}.cnf", n=n, m=m), "--left", left))
+        results = []
+        for argv in calls:
+            start = time.perf_counter()
+            code, out, err = run(capsys, *map(str, argv))
+            assert time.perf_counter() - start < 5, argv
+            assert code in (0, 1, 3) and "Traceback" not in out + err, (argv, code, err)
+            results.append((code, out))
+        # the cover and the enumeration past the cap of 20 and the exact width past 8 vertices refuse
+        assert [code for code, _ in results] == [0] * 7 + [3, 3, 0, 0, 0, 3, 0, 0, 0]
+        assert [len(out) for _, out in results[9:11]] == [3_010_301] * 2  # 2**9,999,999 has 3,010,300 digits
+        assert [out for _, out in results[-2:]] == ["38\n", "36\n"]

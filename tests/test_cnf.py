@@ -1,4 +1,5 @@
 import itertools
+import random
 import warnings
 from collections import Counter
 
@@ -107,6 +108,23 @@ class TestClause:
     def test_rejects(self, lits, message):
         with pytest.raises(ValueError, match=message):
             Clause(lits)
+
+
+class TestSortedClauses:
+    def test_sorted_once_in_canonical_order(self, monkeypatch):
+        """Clauses by their literals l as 2|l| + (l < 0); the first call sorts, each later one copies."""
+        rng = random.Random(4)
+        formulas = [CnfFormula.from_ints(
+            [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 7), rng.randint(1, 4))]
+             for _ in range(rng.randint(0, 8))]) for _ in range(200)]
+        key = lambda c: tuple(sorted(2 * abs(l) + (l < 0) for l in c.literals))
+        for formula in formulas:
+            assert formula.sorted_clauses() == sorted(formula.clauses, key=key)
+        monkeypatch.setattr(cnf_mod, "sorted", lambda *a, **k: pytest.fail("sorted again"), raising=False)
+        for formula in formulas:
+            first = formula.sorted_clauses()
+            first.reverse()
+            assert formula.sorted_clauses() == first[::-1]
 
 
 class TestRestrict:
