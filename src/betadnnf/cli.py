@@ -108,19 +108,20 @@ def cmd_check(args) -> int:
     if formula.has_empty_clause():
         print("beta-acyclic: yes (degenerate, empty clause)")
         return EXIT_OK
-    found = hg_mod.beta_elimination_order(cnf_mod.hypergraph_of(formula))
-    if isinstance(found, hg_mod.NotBetaAcyclic):
+    try:
+        _, order = formula._elimination_order()
+    except NotBetaAcyclicError as exc:
         print("beta-acyclic: no")
-        print(f"stuck at vertices {sorted(found.stuck_vertices)}", file=sys.stderr)
+        print(f"stuck at vertices {sorted(exc.certificate)}", file=sys.stderr)
         return EXIT_FAIL
     print("beta-acyclic: yes")
-    print("order: " + " ".join(map(str, found.sequence)))
+    print("order: " + " ".join(map(str, order.sequence)))
     return EXIT_OK
 
 
 def cmd_order(args) -> int:
     formula = _load_formula(args.formula)
-    order = hg_mod.beta_elimination_order_or_refuse(cnf_mod.hypergraph_of(formula))
+    _, order = formula._elimination_order()
     if order.sequence:
         print("\n".join(map(str, order.sequence)))
     return EXIT_OK

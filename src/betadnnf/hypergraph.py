@@ -209,11 +209,6 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
     return EliminationOrder(sequence)
 
 
-def beta_elimination_order_or_refuse(hypergraph: Hypergraph) -> EliminationOrder:
-    """The greedy order, or NotBetaAcyclicError naming the stuck vertices."""
-    return _order_or_refuse(beta_elimination_order(hypergraph))
-
-
 def _order_or_refuse(found: EliminationOrder | NotBetaAcyclic) -> EliminationOrder:
     if isinstance(found, NotBetaAcyclic):
         raise NotBetaAcyclicError(

@@ -14,12 +14,7 @@ from typing import Iterable, Union
 from .circuit import Vtree as BranchDecomposition
 from .cnf import Clause, CnfFormula, _literal_set, hypergraph_of, truth_table_of_formula
 from .errors import BudgetExceededError, CapExceededError
-from .hypergraph import (
-    EliminationOrder,
-    beta_elimination_order_or_refuse,
-    is_beta_acyclic,
-    satisfies_beta_condition,
-)
+from .hypergraph import EliminationOrder, is_beta_acyclic, satisfies_beta_condition
 
 Label = Union[int, str]
 
@@ -354,18 +349,20 @@ def min_rectangle_cover(
 
 def hat(formula: CnfFormula) -> CnfFormula:
     """Widen every clause with its own fresh positive variable; fresh ids
-    continue after the largest variable id, in canonical clause order."""
-    base = max(formula.variables, default=0)
-    widened = []
-    for i, clause in enumerate(formula.sorted_clauses(), start=1):
-        widened.append(Clause(set(clause.literals) | {base + i}))
-    return CnfFormula(widened)
+    continue after the largest variable id, in canonical clause order.
+    The widened formula is kept on `formula`, as its clause order is."""
+    if (widened := formula.__dict__.get("_hat")) is None:
+        base = max(formula.variables, default=0)
+        widened = CnfFormula(Clause(set(clause.literals) | {base + i})
+                             for i, clause in enumerate(formula.sorted_clauses(), start=1))
+        object.__setattr__(formula, "_hat", widened)
+    return widened
 
 
 def hat_order(formula: CnfFormula) -> EliminationOrder:
     """Elimination order for the widened formula: all fresh clause
     variables first, then an elimination order of the original."""
-    order = beta_elimination_order_or_refuse(hypergraph_of(formula))
+    _, order = formula._elimination_order()
     base = max(formula.variables, default=0)
     fresh = tuple(range(base + 1, base + 1 + len(formula.clauses)))
     return EliminationOrder(fresh + order.sequence)

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadnnf import CnfFormula, cli, count_dpll, dpll, hypergraph
+from betadnnf import CnfFormula, cli, count_dpll, dpll, hypergraph, lowerbounds
 from betadnnf.cli import main
+from betadnnf.cnf import hypergraph_of
 from betadnnf.dpll import OrderStrategy, search
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -28,6 +29,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def counted_calls(monkeypatch, original):
+    """The arguments of every call to `original` from here on, through any
+    module-level name the package resolves it by."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("betadnnf"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestCount:
@@ -75,19 +93,7 @@ class TestCount:
         assert (code, out) == (0, f"{2**39}\n")
 
     def test_dpll_computes_the_order_once(self, capsys, monkeypatch):
-        original = hypergraph.beta_elimination_order
-        calls = []
-
-        def counted(graph):
-            calls.append(graph)
-            return original(graph)
-
-        # rebind every module-level name the package resolves it by
-        for module in list(sys.modules.values()):
-            if module is not None and module.__name__.startswith("betadnnf"):
-                for name, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, name, counted)
+        calls = counted_calls(monkeypatch, hypergraph.beta_elimination_order)
         code, out, _ = run(capsys, "count", fstar_path(), "--method", "dpll")
         assert (code, out) == (0, "13\n")
         assert len(calls) == 1
@@ -470,6 +476,33 @@ class TestCliContract:
         code, out, err = run(capsys, "check", fstar_path())
         assert (code, out) == (3, "")
         assert err.startswith(f"refused: {error.__name__}")
+
+    @pytest.mark.parametrize("command", ["check", "order", "hat"])
+    def test_the_order_of_the_input_is_computed_once(self, capsys, monkeypatch, tmp_path, command):
+        calls = counted_calls(monkeypatch, hypergraph.beta_elimination_order)
+        extra = ["-o", str(tmp_path / "hat.cnf")] if command == "hat" else []
+        assert run(capsys, command, fstar_path(), *extra)[0] == 0
+        fstar = cli._load_formula(fstar_path())
+        assert calls[0] == (hypergraph_of(fstar),)
+        if command == "hat":  # and once more on the widened formula, by `is_beta_acyclic`
+            assert calls[1:] == [(hypergraph_of(lowerbounds.hat(fstar)),)]
+        else:
+            assert len(calls) == 1
+
+    def test_hat_widens_the_input_once(self, capsys, monkeypatch, tmp_path):
+        calls, original = [], lowerbounds.Clause
+        monkeypatch.setattr(lowerbounds, "Clause", lambda literals: calls.append(1) or original(literals))
+        code, _, err = run(capsys, "hat", fstar_path(), "-o", str(tmp_path / "hat.cnf"))
+        assert (code, err) == (0, "beta-acyclicity preserved: yes\n")
+        assert len(calls) == 5  # one per clause of the input
+
+    @pytest.mark.parametrize("command", ["order", "hat"])
+    def test_an_empty_clause_has_no_order(self, capsys, tmp_path, command):
+        path = tmp_path / "zero.cnf"
+        path.write_text("p cnf 1 1\n0\n")
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert err == "error: formula contains the empty clause; handle the constant-0 case first\n"
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
