@@ -61,10 +61,11 @@ class Violation:
 
 class NnfCircuit:
     """Immutable gate list in topological order; the designated output gate
-    determines the computed function. It keeps facts once computed: its variables
-    and variable masks, its two structural verdicts, and whether its output reaches every gate."""
+    determines the computed function. It keeps facts once computed: its variables,
+    its two structural verdicts with the number of variables below each gate, and
+    whether its output reaches every gate. Variable sets are not kept."""
 
-    __slots__ = ("gates", "output", "_variables", "_masks", "_decomposable", "_decision", "_reachable")
+    __slots__ = ("gates", "output", "_variables", "_var_counts", "_decomposable", "_decision", "_reachable")
 
     def __init__(self, gates: Iterable[Gate], output: int):
         self._start(tuple(gates), output)
@@ -80,7 +81,7 @@ class NnfCircuit:
     def _start(self, gates: tuple, output: int) -> None:
         self.gates = gates
         self.output = output
-        self._variables = self._masks = self._decomposable = self._decision = self._reachable = None
+        self._variables = self._var_counts = self._decomposable = self._decision = self._reachable = None
 
     @property
     def size(self) -> int:
@@ -95,14 +96,14 @@ class NnfCircuit:
 
     @property
     def varsets(self) -> tuple[frozenset[int], ...]:
-        """The variables below each gate, decoded from the kept masks on every access."""
-        order, masks = _kept_masks(self)
+        """The variables below each gate, recomputed on every access."""
+        order, masks = _variable_masks(self)
         return tuple(_decode(order, m) for m in masks)
 
     @property
     def output_variables(self) -> frozenset[int]:
-        order, masks = _kept_masks(self)
-        return _decode(order, masks[self.output])
+        """The variables of the gates the output reaches."""
+        return prune_unreachable(self).variables
 
     def root_at(self, gate_index: int) -> "NnfCircuit":
         """Same gate list viewed with a different output gate."""
@@ -197,18 +198,13 @@ def _variable_masks(circuit: NnfCircuit) -> tuple[list[int], list[int]]:
     return order, masks
 
 
-def _kept_masks(circuit: NnfCircuit) -> tuple[list[int], list[int]]:
-    if circuit._masks is None:  # computed on first use, then kept
-        circuit._masks = _variable_masks(circuit)
-    return circuit._masks
-
-
 def _decode(order: list[int], mask: int) -> frozenset[int]:
     return frozenset(order[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-def _decomposability_violation(circuit: NnfCircuit) -> Violation | None:
-    order, masks = _kept_masks(circuit)
+def _decomposability_violation(circuit: NnfCircuit) -> tuple[Violation | None, list[int] | None]:
+    """The first violation, or None and the number of variables below each gate."""
+    order, masks = _variable_masks(circuit)
     for i, gate in enumerate(circuit.gates):
         tag = gate[0]
         if tag == "A":
@@ -217,13 +213,13 @@ def _decomposability_violation(circuit: NnfCircuit) -> Violation | None:
                 overlap = union & masks[c]
                 if overlap:  # report the smallest shared variable, the lowest bit
                     v = order[(overlap & -overlap).bit_length() - 1]
-                    return Violation(i, f"and-gate children share variable {v}")
+                    return Violation(i, f"and-gate children share variable {v}"), None
                 union |= masks[c]
         elif tag == "D":
             # equal exactly when a branch already holds the decision variable
             if masks[i] == masks[gate[2]] | masks[gate[3]]:
-                return Violation(i, f"decision variable {gate[1]} reappears in a branch")
-    return None
+                return Violation(i, f"decision variable {gate[1]} reappears in a branch"), None
+    return None, [m.bit_count() for m in masks]
 
 
 def check_decomposable(circuit: NnfCircuit) -> tuple[bool, Violation | None]:
@@ -231,10 +227,10 @@ def check_decomposable(circuit: NnfCircuit) -> tuple[bool, Violation | None]:
 
     Decision gates are checked through their implicit guard conjunctions:
     the decision variable may not reappear in either branch. The circuit
-    keeps the verdict.
+    keeps the verdict, and with a clean one each gate's variable count.
     """
     if circuit._decomposable is None:
-        violation = _decomposability_violation(circuit)
+        violation, circuit._var_counts = _decomposability_violation(circuit)
         circuit._decomposable = violation is None, violation
     return circuit._decomposable
 
@@ -419,8 +415,7 @@ def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
     circuit output.
     """
     target = frozenset(variables)
-    order, masks = _kept_masks(circuit)
-    extra = [v for v in order if v not in target]
+    extra = sorted(circuit.variables - target)
     if extra:
         raise ValueError(f"circuit variables {extra} outside the counting set")
     ok, violation = check_decomposable(circuit)
@@ -429,15 +424,13 @@ def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
     ok, violation = check_decision(circuit)
     if not ok:
         raise CircuitPropertyError(f"not a decision circuit: gate {violation.gate}, {violation.reason}")
-    counts: list[int] = []
+    sizes, counts = circuit._var_counts, []
     for i, gate in enumerate(circuit.gates):
         tag = gate[0]
         if tag == "D" or tag == "O":  # an or-gate passed `check_decision`, so it has decision shape
             _, hi, lo = gate[1:] if tag == "D" else decision_parts(circuit, i)
-            here = masks[i].bit_count()
-            gap_hi = here - 1 - masks[hi].bit_count()
-            gap_lo = here - 1 - masks[lo].bit_count()
-            counts.append(counts[hi] * (1 << gap_hi) + counts[lo] * (1 << gap_lo))
+            here = sizes[i] - 1
+            counts.append((counts[hi] << (here - sizes[hi])) + (counts[lo] << (here - sizes[lo])))
         elif tag == "A":
             n = 1
             for c in dict.fromkeys(gate[1]):
@@ -445,8 +438,7 @@ def count_models(circuit: NnfCircuit, variables: Iterable[int]) -> int:
             counts.append(n)
         else:
             counts.append(0 if tag == "F" else 1)
-    outside = len(target) - masks[circuit.output].bit_count()
-    return counts[circuit.output] << outside
+    return counts[circuit.output] << (len(target) - sizes[circuit.output])
 
 
 def is_satisfiable(circuit: NnfCircuit) -> tuple[bool, frozenset[int] | None]:
@@ -488,7 +480,7 @@ def is_satisfiable(circuit: NnfCircuit) -> tuple[bool, frozenset[int] | None]:
             _, x, hi, lo = gate
             chosen.setdefault(x, x if sat[hi] else -x)
             stack.append(hi if sat[hi] else lo)
-    for v in circuit.output_variables:
+    for v in prune_unreachable(circuit).variables:
         chosen.setdefault(v, -v)
     return True, frozenset(chosen.values())
 
@@ -563,7 +555,7 @@ def respects_vtree(circuit: NnfCircuit, vtree: Vtree) -> tuple[bool, Violation |
     """Every conjunction (explicit or a decision guard) must be binary and
     split its input variables along some vtree node. Variable sets are
     bitsets over the circuit's variables, and so are the vtree's splits."""
-    order, masks = _kept_masks(circuit)
+    order, masks = _variable_masks(circuit)
     missing = sorted(set(order) - vtree.leaf_set)
     if missing:
         raise ValueError(f"circuit variables {missing} missing from the vtree")

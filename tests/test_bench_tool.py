@@ -27,6 +27,13 @@ COUNTS = {"dpll": ("stats",), "compile": ("formula_size", "gates", "cache_entrie
           "front": ("clauses", "text_bytes")}
 
 
+def _measure(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert bench.main(argv) == 0
+    return json.loads(out.getvalue())
+
+
 def _smallest_rows():
     for layer, spec in bench.LAYERS.items():
         for family, (_, sizes) in spec.families.items():
@@ -36,10 +43,7 @@ def _smallest_rows():
 
 @pytest.mark.parametrize("layer, family, n", list(_smallest_rows()))
 def test_measure_matches_the_committed_row(layer, family, n):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert bench.main([layer, "--measure", family, str(n), "--no-peak"]) == 0
-    row = json.loads(out.getvalue())
+    row = _measure([layer, "--measure", family, str(n), "--no-peak"])
     timed = [key for key in bench.LAYERS[layer].keys if not key.endswith("_peak_bytes")]
     assert sorted(row) == sorted(timed + list(COUNTS[layer]))
     assert all(isinstance(row[key], float) and row[key] > 0 for key in timed)
@@ -47,6 +51,16 @@ def test_measure_matches_the_committed_row(layer, family, n):
         committed = json.load(handle)["runs"]["after"]["rows"]
     want = next(r for r in committed if (r["family"], r["n"]) == (family, n))
     assert {key: row[key] for key in COUNTS[layer]} == {key: want[key] for key in COUNTS[layer]}
+
+
+@pytest.mark.parametrize("layer", list(bench.LAYERS))
+def test_a_traced_measure_records_every_peak(layer):
+    """The first repeat traces: its row holds every key of the layer, the
+    compile layer's count peak among them."""
+    family, (_, sizes) = next(iter(bench.LAYERS[layer].families.items()))
+    row = _measure([layer, "--measure", family, str(min(sizes))])
+    assert set(bench.LAYERS[layer].keys) <= set(row)
+    assert all(row[key] > 0 for key in bench.LAYERS[layer].keys)
 
 
 def test_every_layer_has_a_committed_baseline_with_its_keys():
@@ -57,3 +71,4 @@ def test_every_layer_has_a_committed_baseline_with_its_keys():
         for run in committed["runs"].values():
             assert set(run["exponents"]) == set(spec.families)
             assert all(set(e) == set(spec.keys) for e in run["exponents"].values())
+            assert all(set(spec.keys) <= set(row) for row in run["rows"])

@@ -419,6 +419,38 @@ class TestVariableSets:
                 assert list(circuit.varsets) == expected
                 assert circuit.output_variables == expected[circuit.output]
 
+    def test_output_variables_and_witness_where_the_output_misses_gates(self):
+        """Checked random gate lists seen at random outputs, most of which
+        reach only part of the list: the output's variables are the DFS's,
+        and a witness binds exactly them."""
+        rng = random.Random(29)
+        partial = witnessed = 0
+        for _ in range(3000):
+            gates = []
+            for i in range(rng.randint(1, 10)):
+                kind = rng.randrange(10) if i else 0
+                if kind < 4:
+                    gates.append(("L", rng.choice((-1, 1)) * rng.randint(1, 8)))
+                elif kind < 5:
+                    gates.append((rng.choice("TF"),))
+                elif kind < 7:
+                    gates.append((rng.choice("AO"), tuple(rng.sample(range(i), rng.randint(1, min(i, 3))))))
+                else:
+                    gates.append(("D", rng.randint(1, 8), rng.randrange(i), rng.randrange(i)))
+            circuit = NnfCircuit(gates, len(gates) - 1)
+            view = circuit.root_at(rng.randrange(circuit.size))
+            expected = reference_varsets(circuit)[view.output]
+            assert view.output_variables == expected, (gates, view.output)
+            partial += prune_unreachable(view).size < view.size
+            if check_decomposable(view)[0]:
+                ok, witness = is_satisfiable(view)
+                if ok:
+                    assert {abs(lit) for lit in witness} == expected and len(witness) == len(expected)
+                    rest = {-v for v in view.variables - expected}
+                    assert evaluate(view, witness | rest) == 1, (gates, view.output)
+                    witnessed += 1
+        assert partial > 2000 and witnessed > 1500, (partial, witnessed)
+
     def test_sparse_variable_ids_cost_one_bit_each(self):
         text = "nnf 3 2 1000000000\nL 1000000000\nL 3\nA 2 0 1\n"
         tracemalloc.start()
@@ -457,6 +489,23 @@ class TestVariableSets:
 
 
 class TestMemory:
+    def test_a_counted_circuit_keeps_linear_memory(self):
+        """After a count the circuit keeps one variable count per gate, not
+        a variable set: a chain's sets would hold Θ(n) bits per gate."""
+        formula = chain_cnf(4000)
+        circuit, _ = compile_cnf(formula)
+        tracemalloc.start()
+        try:
+            count = count_models(circuit, formula.variables)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        a, b = 1, 2  # a positive chain over k variables has Fibonacci(k + 2) models
+        for _ in range(3999):
+            a, b = b, a + b
+        assert count == b
+        assert kept < 100 * circuit.size, kept / circuit.size
+
     def test_wide_clause_trace_round_trip(self):
         width = 1000
         formula = CnfFormula.from_ints([range(1, width + 1)])
@@ -579,9 +628,9 @@ class GateReads(tuple):
 
 
 class TestKeptFacts:
-    """A circuit keeps its variable masks and structural verdicts, so the
-    counter and the checks derive each once between them, and a pruned
-    circuit is not walked again."""
+    """A circuit keeps its structural verdicts and each gate's variable
+    count, so the counter and the checks share one mask pass between them,
+    and a pruned circuit is not walked again."""
 
     @staticmethod
     def counted(monkeypatch, name):

@@ -23,9 +23,11 @@ Layers:
   and its `DpllStats`; size is n. The formula's elimination order is
   computed by an untimed count first.
 - `compile` (`BENCH_compile.json`): seconds of one `Compiler` set-up and
-  run, the peak of another, and the gate, formula-size and cache-entry
-  counts; size is the literal count (`formula_size`). The formula's
-  elimination order is computed first and not timed.
+  run and of the first `count_models` on its circuit, the peaks of
+  another run and of the first count on that freshly compiled circuit,
+  and the gate, formula-size and cache-entry counts; size is the literal
+  count (`formula_size`). The formula's elimination order is computed
+  first and not timed.
 - `front` (`BENCH_front.json`): seconds of `parse_dimacs` on DIMACS text
   built here, of `beta_elimination_order` on the formula's hypergraph
   (with the re-verification it runs before returning) and of the
@@ -123,18 +125,21 @@ def measure_dpll(clauses: list[list[int]], n: int, peak: bool) -> dict:
 
 
 def measure_compile(clauses: list[list[int]], n: int, peak: bool) -> dict:
-    from betadnnf import CnfFormula
+    from betadnnf import CnfFormula, count_models
     from betadnnf.compiler import Compiler
 
     formula = CnfFormula.from_ints(clauses)
     formula._elimination_order()
     start = time.perf_counter()
     compiler = Compiler(formula)
-    _, report = compiler.run()
+    circuit, report = compiler.run()
     row = {"compile_s": time.perf_counter() - start, "formula_size": report.formula_size,
            "gates": report.gates, "cache_entries": len(compiler.cache)}
+    row["count_s"] = seconds(lambda: count_models(circuit, formula.variables))
     if peak:
-        row["compile_peak_bytes"] = traced_peak(lambda: Compiler(formula).run())
+        fresh = []
+        row["compile_peak_bytes"] = traced_peak(lambda: fresh.append(Compiler(formula).run()[0]))
+        row["count_peak_bytes"] = traced_peak(lambda: count_models(fresh[0], formula.variables))
     return row
 
 
@@ -171,8 +176,9 @@ LAYERS = {
                   {"chain": (chain, (400, 800, 1600, 3200)),
                    "interval3": (interval3, (300, 600, 1200, 2400)),
                    "wide": (positive_wide, (800, 1600, 3200))}),
-    "compile": Layer(measure_compile, "formula_size", ("compile_s", "compile_peak_bytes"),
-                     {"measured": "Compiler(formula).run()"},
+    "compile": Layer(measure_compile, "formula_size",
+                     ("compile_s", "count_s", "compile_peak_bytes", "count_peak_bytes"),
+                     {"measured": "Compiler(formula).run(); count_models(circuit, formula.variables)"},
                      {"chain": (chain, (400, 800, 1600, 3200)),
                       "interval3": (interval3, (400, 800, 1600, 3200)),
                       "wide": (signed_wide, (1000, 2000, 4000, 8000)),
