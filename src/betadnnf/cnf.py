@@ -3,6 +3,10 @@
 Literals follow the DIMACS convention: a positive integer v is the
 variable v, -v is its negation. Clauses and formulas have set semantics,
 duplicate literals/clauses collapse and clause order is irrelevant.
+
+A formula keeps its clauses in one flat store, as tuples of literals
+sorted by variable that the cyclic collector stops tracking; its `Clause`
+objects are made only for `clauses` and `sorted_clauses()`, when asked.
 """
 from __future__ import annotations
 
@@ -10,9 +14,10 @@ import warnings
 from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CapExceededError, DimacsParseError
-from .hypergraph import EliminationOrder, Hypergraph, _order_or_refuse, beta_elimination_order
+from .hypergraph import EliminationOrder, Hypergraph, NotBetaAcyclic, _order_or_refuse, beta_elimination_order
 
 Literal = int
 
@@ -67,7 +72,8 @@ class Clause:
         return f"Clause({list(self.sorted_literals())})"
 
 
-_EMPTY_CLAUSE = Clause(())
+def _clause(stored: tuple[Literal, ...]) -> Clause:
+    return object.__new__(Clause)._fill(frozenset(stored), frozenset(map(abs, stored)))
 
 
 def falsifying_assignment(clause: Clause) -> frozenset[Literal]:
@@ -77,46 +83,60 @@ def falsifying_assignment(clause: Clause) -> frozenset[Literal]:
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """A finite set of non-tautological clauses."""
+    """A finite set of non-tautological clauses, kept as its store, which `==` and `hash` compare."""
 
-    clauses: frozenset[Clause]
+    _store: frozenset[tuple[Literal, ...]] = field(repr=False)
     declared_variables: int | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, clauses: Iterable[Clause], declared_variables: int | None = None):
-        object.__setattr__(self, "clauses", frozenset(clauses))
+        self._fill([c.sorted_literals() for c in clauses], declared_variables)
+
+    def _fill(self, store: Iterable[tuple[Literal, ...]], declared_variables: int | None) -> CnfFormula:
+        object.__setattr__(self, "_store", frozenset(store))
         object.__setattr__(self, "declared_variables", declared_variables)
+        return self
 
     @classmethod
     def from_ints(cls, clause_lists: Iterable[Iterable[Literal]]) -> "CnfFormula":
-        return cls(Clause(lits) for lits in clause_lists)
+        return cls(map(Clause, clause_lists))
 
-    @property
+    @cached_property
+    def clauses(self) -> frozenset[Clause]:
+        """The clauses as `Clause` objects, made at the first request."""
+        return frozenset(map(_clause, self._store))
+
+    @cached_property
     def variables(self) -> frozenset[int]:
-        return frozenset().union(*(c.variables for c in self.clauses))
+        return frozenset(map(abs, frozenset().union(*self._store)))
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Total number of variable occurrences over all clauses."""
-        return sum(len(c) for c in self.clauses)
+        return sum(map(len, self._store))
 
     def has_empty_clause(self) -> bool:
-        return _EMPTY_CLAUSE in self.clauses
+        return () in self._store
+
+    @cached_property
+    def _sorted(self) -> tuple[tuple[Literal, ...], ...]:
+        """The store in canonical order, by literals l as 2|l| + (l < 0), which a clause lists sorted."""
+        return tuple(sorted(self._store, key=lambda c: [l + l if l > 0 else 1 - l - l for l in c]))
+
+    @cached_property
+    def _sorted_clauses(self) -> tuple[Clause, ...]:
+        return tuple(map(_clause, self._sorted))
 
     def sorted_clauses(self) -> list[Clause]:
-        """Clauses in a canonical order, by literals l as 2|l| + (l < 0); kept, a fresh list per call."""
-        if (found := self.__dict__.get("_sorted")) is None:
-            key = lambda c: tuple(sorted([l + l if l > 0 else 1 - l - l for l in c.literals]))
-            object.__setattr__(self, "_sorted", found := tuple(sorted(self.clauses, key=key)))
-        return list(found)
+        """`Clause` objects in the order of `_sorted`, built at the first request; a fresh list per call."""
+        return list(self._sorted_clauses)
+
+    @cached_property
+    def _order(self) -> tuple[Hypergraph, EliminationOrder | NotBetaAcyclic]:
+        return (hypergraph := hypergraph_of(self)), beta_elimination_order(hypergraph)
 
     def _elimination_order(self) -> tuple[Hypergraph, EliminationOrder]:
         """The hypergraph and greedy order, kept; NotBetaAcyclicError on each call if stuck."""
-        found = self.__dict__.get("_order")
-        if found is None:
-            hypergraph = hypergraph_of(self)
-            found = hypergraph, beta_elimination_order(hypergraph)
-            object.__setattr__(self, "_order", found)
-        return found[0], _order_or_refuse(found[1])
+        return self._order[0], _order_or_refuse(self._order[1])
 
     def restrict(self, tau: Iterable[Literal]) -> "CnfFormula":
         """The residual formula after making the literals of `tau` true.
@@ -125,29 +145,26 @@ class CnfFormula:
         clause that loses all its literals stays as the empty clause.
         """
         tau = _literal_set(tau)
-        return CnfFormula(
-            Clause(l for l in clause.literals if -l not in tau)
-            for clause in self.clauses
-            if tau.isdisjoint(clause.literals)
-        )
+        return object.__new__(CnfFormula)._fill(
+            [tuple([l for l in c if -l not in tau]) for c in self._store if tau.isdisjoint(c)], None)
 
     def evaluate(self, tau: Iterable[Literal]) -> int:
         """1 iff `tau` satisfies every clause; `tau` must bind every variable."""
         tau = _literal_set(tau, self.variables)
-        return int(all(not tau.isdisjoint(c.literals) for c in self.clauses))
+        return int(all(not tau.isdisjoint(c) for c in self._store))
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return len(self._store)
 
     def __repr__(self) -> str:
         return f"CnfFormula({self.sorted_clauses()!r})"
 
 
 def hypergraph_of(formula: CnfFormula) -> Hypergraph:
-    """The hypergraph whose edges are the distinct clause variable sets."""
+    """The hypergraph of the distinct clause variable sets (a frozenset per clause, one kept per set)."""
     if formula.has_empty_clause():
         raise ValueError("formula contains the empty clause; handle the constant-0 case first")
-    return Hypergraph(c.variables for c in formula.clauses)
+    return Hypergraph(frozenset(map(abs, c)) for c in formula._store)
 
 
 def variable_masks(variables: Iterable[int]) -> dict[int, int]:
@@ -176,9 +193,9 @@ def truth_table_of_formula(formula: CnfFormula, variables: Iterable[int]) -> int
     masks = variable_masks(ordered)
     full = (1 << (1 << len(ordered))) - 1
     table = full
-    for clause in formula.clauses:
+    for clause in formula._store:
         ct = 0
-        for lit in clause.literals:
+        for lit in clause:
             ct |= masks[lit] if lit > 0 else (full & ~masks[-lit])
         table &= ct
         if not table:
@@ -191,9 +208,7 @@ def brute_force_count(formula: CnfFormula, variables: Iterable[int], cap: int = 
     every assignment of the set (bit-parallel, one bit per assignment)."""
     ordered = sorted(set(variables))
     if len(ordered) > cap:
-        raise CapExceededError(
-            f"{len(ordered)} variables exceed the enumeration cap of {cap}", cap
-        )
+        raise CapExceededError(f"{len(ordered)} variables exceed the enumeration cap of {cap}", cap)
     return truth_table_of_formula(formula, ordered).bit_count()
 
 
@@ -206,16 +221,15 @@ def _block_formula(text: str, lines: list[str]) -> CnfFormula:
     num_vars, _, *lits = map(int, tokens[2:])  # ValueError on a token that is no integer
     if num_vars < 0 or lits and (lits[-1] != 0 or max(max(lits), -min(lits)) > num_vars):
         raise ValueError
-    clauses, start = [], 0
+    store, start = [], 0
     while start < len(lits):  # the last literal is a 0
         end = lits.index(0, start)
-        literals = frozenset(lits[start:end])
-        variables = frozenset(map(abs, literals))
-        if len(variables) < len(literals):  # a tautology
+        clause = sorted(lits[start:end], key=abs)
+        if len(set(map(abs, clause))) < len(clause):  # a tautology or a repeated literal
             raise ValueError
-        clauses.append(object.__new__(Clause)._fill(literals, variables))
+        store.append(tuple(clause))
         start = end + 1
-    return CnfFormula(clauses, num_vars)
+    return object.__new__(CnfFormula)._fill(store, num_vars)
 
 
 def parse_dimacs(text: str | bytes, strict: bool = False) -> CnfFormula:
@@ -235,7 +249,7 @@ def parse_dimacs(text: str | bytes, strict: bool = False) -> CnfFormula:
     with suppress(ValueError):  # raised when the block pass declines the text
         return _block_formula(text, lines)
     num_vars: int | None = None
-    clauses: list[Clause] = []
+    store: list[tuple[Literal, ...]] = []
     pending: list[int] = []
     last_line = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -266,27 +280,22 @@ def parse_dimacs(text: str | bytes, strict: bool = False) -> CnfFormula:
             except ValueError:
                 raise DimacsParseError(f"non-integer token {token!r}", lineno) from None
             if lit == 0:
-                lits = set(pending)
-                pending.clear()
+                lits, pending = set(pending), []
                 if len(set(map(abs, lits))) < len(lits):  # some v and -v
                     if strict:
                         raise DimacsParseError("tautological clause", lineno)
-                    warnings.warn(
-                        f"dropping tautological clause at line {lineno}", stacklevel=2
-                    )
+                    warnings.warn(f"dropping tautological clause at line {lineno}", stacklevel=2)
                     continue
-                clauses.append(Clause(lits))
+                store.append(tuple(sorted(lits, key=abs)))
             else:
                 if abs(lit) > num_vars:
-                    raise DimacsParseError(
-                        f"literal {lit} out of range 1..{num_vars}", lineno
-                    )
+                    raise DimacsParseError(f"literal {lit} out of range 1..{num_vars}", lineno)
                 pending.append(lit)
     if pending:
         raise DimacsParseError("clause without terminating 0", last_line)
     if num_vars is None:
         raise DimacsParseError("missing 'p cnf' header", 0)
-    return CnfFormula(clauses, declared_variables=num_vars)
+    return object.__new__(CnfFormula)._fill(store, num_vars)
 
 
 def write_dimacs(formula: CnfFormula, num_vars: int | None = None) -> str:
@@ -296,9 +305,7 @@ def write_dimacs(formula: CnfFormula, num_vars: int | None = None) -> str:
     max_var = max(formula.variables, default=0)
     if num_vars is None or num_vars < max_var:
         num_vars = max_var
-    lines = [f"p cnf {num_vars} {len(formula.clauses)}"]
-    for clause in formula.sorted_clauses():
-        lines.append(" ".join(str(l) for l in clause.sorted_literals()) + " 0")
+    lines = [f"p cnf {num_vars} {len(formula)}"] + [" ".join(map(str, c)) + " 0" for c in formula._sorted]
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import neg
 from typing import Iterable, NamedTuple
 
@@ -73,32 +74,31 @@ class Compiler:
             violation = beta_condition_violation(self.hypergraph, order)
             if violation is not None:
                 x, e, f = violation
-                raise ValueError(
-                    f"not a beta-elimination order: edges {sorted(e)} and {sorted(f)} "
-                    f"conflict at vertex {x}"
-                )
+                raise ValueError(f"not a beta-elimination order: edges {sorted(e)} and {sorted(f)} "
+                                 f"conflict at vertex {x}")
         self.order = order
         self.rank = rank = order.rank
         # edges in edge order (by `EliminationOrder.edge_key`); an edge is named by its position here
         keyed = sorted([(tuple(sorted(map(rank.__getitem__, e), reverse=True)), e)
                         for e in self.hypergraph.edges])
         self.edges: list[frozenset[int]] = [e for _, e in keyed]
-        self.edge_index = edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.clauses: list[Clause] = formula.sorted_clauses()
-        # per edge, from those ranks: its variables by descending rank, their negated ranks and
-        # its (clause id, literal set) pairs; a restriction, a prefix of a clause's literals so
-        # ranked, is found by bisecting its edge's negated ranks, and its trie node is in `prefix`:
-        # the root is the edge's index, and `intern` maps (node, literal l) to the node after it on
-        # l; a clause's whole list kills it (`lookup`'s constant false) and gets no node
+        self.edge_index = edge_index = {tuple(sorted(e)): i for i, e in enumerate(self.edges)}
+        # per edge, found by its variables as a clause lists them, and from those ranks: its variables
+        # by descending rank, their negated ranks and its clause ids (as in `sorted_clauses`), each
+        # clause's literal set in `lit_sets`; a restriction, a prefix of a clause's literals so ranked,
+        # is found by bisecting its edge's negated ranks, and its trie node is in `prefix`: the root is
+        # the edge's index, and `intern` maps (node, literal l) to the node after it on l; a clause's
+        # whole list kills it (`lookup`'s constant false) and gets no node
         self.edge_ranked = edge_ranked = [tuple(map(order.sequence.__getitem__, ranks)) for ranks, _ in keyed]
-        self.edge_clauses: list[list[tuple[int, frozenset[int]]]] = [[] for _ in self.edges]
+        self.edge_clauses: list[list[int]] = [[] for _ in self.edges]
         edge_depth = [tuple(map(neg, ranks)) for ranks, _ in keyed]
-        self.ranked, self.depth, self.prefix = ranked_of, depth, prefix = [], [], []
+        self.ranked, self.depth, self.prefix, self.lit_sets = ranked_of, depth, prefix, sets = [], [], [], []
         self.intern = intern = {}
         m = len(self.edges)
-        for cid, c in enumerate(self.clauses):
-            j, literals = edge_index[c.variables], c.literals
-            self.edge_clauses[j].append((cid, literals))
+        for cid, c in enumerate(formula._sorted):
+            j = edge_index[tuple(map(abs, c))]
+            sets.append(literals := frozenset(c))
+            self.edge_clauses[j].append(cid)
             ranked_of.append(ranked := tuple([v if v in literals else -v for v in edge_ranked[j]]))
             depth.append(edge_depth[j])
             nodes = [node := j]
@@ -115,6 +115,10 @@ class Compiler:
         self.cache: dict[int, int] = {}  # trie node of a restriction -> its gate
         self._cutoff = len(order)  # past every rank: the first query builds the forest
         self.full_circuit: NnfCircuit | None = None
+
+    @cached_property
+    def clauses(self) -> list[Clause]:
+        return self.formula.sorted_clauses()  # by clause id, made at the first request
 
     def _forest_at(self, rank: int) -> None:
         """Move the reachability forest to the cutoff of this rank, from
@@ -148,7 +152,7 @@ class Compiler:
         edges at most `edge` and vertices at most `cutoff`: the edges of
         `hypergraph.sub_hypergraph(..., edge, cutoff)`, read off the forest.
         A public query; the stage loop reads the forest through `_walk`."""
-        start = self.edge_index.get(edge)
+        start = self.edge_index.get(tuple(sorted(edge)))
         if start is None:
             raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
         if not self.edges_with.get(cutoff):
@@ -191,7 +195,7 @@ class Compiler:
         an earlier one passed.
         """
         e = frozenset(edge)
-        top = self.edge_index.get(e)
+        top = self.edge_index.get(tuple(sorted(e)))
         if top is None:
             raise ValueError(f"edge {sorted(e)} not in the hypergraph")
         if x not in e:
@@ -228,14 +232,14 @@ class Compiler:
                         tops.append(g)
                         break
                     g = parent[g]
-        edge_clauses, prefix, ranked, depth = self.edge_clauses, self.prefix, self.ranked, self.depth
+        sets, prefix, ranked, depth = self.lit_sets, self.prefix, self.ranked, self.depth
         branches, nx = [], -rx
         for b in (x, -x):
             stack, pieces = list(tops), []
             while stack:
                 g = stack.pop()
-                for cid, literals in edge_clauses[g]:
-                    if (prefix[cid][k] == node and ranked[cid][k] != b if g == top else b not in literals
+                for cid in self.edge_clauses[g]:
+                    if (prefix[cid][k] == node and ranked[cid][k] != b if g == top else b not in sets[cid]
                             and ((d := depth[cid])[0] >= nx  # no literal after x
                                  or falsified.isdisjoint(map(neg, ranked[cid][:bisect_left(d, nx)])))):
                         pieces.append((g, cid))
@@ -271,7 +275,7 @@ class Compiler:
         conjunction is constant true. The first stage has no predecessor to look
         up, and a piece there makes its branch false."""
         mine, rx, builder = self.prefix[clause_id], self.rank[x], self.builder
-        hi, lo = self._walk(mine[0], x, rx, k, mine[k], self.clauses[clause_id].literals, tops)
+        hi, lo = self._walk(mine[0], x, rx, k, mine[k], self.lit_sets[clause_id], tops)
         if not rx:  # x is a nest point, so a piece lies within the edge: a unit on x
             if not all(self.edges[g] <= self.edges[mine[0]] for g, _ in hi + lo):
                 raise AssertionError("first-stage residual is not a unit over the first variable")
@@ -300,7 +304,7 @@ class Compiler:
             for j in edges_with[x]:
                 unstaged[j] -= 1
                 k, tops = unstaged[j], []  # the clauses' restrictions above x have k literals
-                for cid, _ in edge_clauses[j]:
+                for cid in edge_clauses[j]:
                     node = prefix[cid][k]
                     if node not in cache:
                         cache[node] = decision_step(cid, x, k, tops)
@@ -315,21 +319,16 @@ class Compiler:
         for g, up in enumerate(self._parent):
             least[up] = min(least[up], least[g])
         tops = [g for g in sorted(range(m), key=least.__getitem__) if self._parent[g] == m]
-        output = self.builder.and_(self.lookup(self.edge_clauses[g][0][0], last) for g in tops)
+        output = self.builder.and_(self.lookup(self.edge_clauses[g][0], last) for g in tops)
         self.full_circuit = self.builder.build(output)
         circuit = prune_unreachable(self.full_circuit)
         bound = 7 * (size := self.formula.size) + max(1, len(tops)) + 3
         if circuit.size > bound:
             raise AssertionError(f"{circuit.size} gates exceed the size bound {bound}")
-        report = CompileReport(
-            gates=circuit.size,
-            and_fanin_max=max((len(g[1]) for g in circuit.gates if g[0] == "A"), default=0),
-            clause_counts=self.clause_counts,
-            elimination_order=self.order.sequence,
-            wall_time_seconds=time.perf_counter() - self._start,
-            components=len(tops),
-            formula_size=size,
-        )
+        fanin = max((len(g[1]) for g in circuit.gates if g[0] == "A"), default=0)
+        report = CompileReport(gates=circuit.size, and_fanin_max=fanin, clause_counts=self.clause_counts,
+                               elimination_order=self.order.sequence, components=len(tops),
+                               wall_time_seconds=time.perf_counter() - self._start, formula_size=size)
         return circuit, report
 
 
@@ -348,13 +347,7 @@ def compile_cnf(
         start = time.perf_counter()
         builder = CircuitBuilder()
         circuit = builder.build(builder.false())
-        return circuit, CompileReport(
-            gates=1,
-            and_fanin_max=0,
-            clause_counts={},
-            elimination_order=(),
-            wall_time_seconds=time.perf_counter() - start,
-            components=0,
-            formula_size=formula.size,
-        )
+        return circuit, CompileReport(gates=1, and_fanin_max=0, clause_counts={}, elimination_order=(),
+                                      wall_time_seconds=time.perf_counter() - start, components=0,
+                                      formula_size=formula.size)
     return Compiler(formula, order).run()

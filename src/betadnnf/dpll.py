@@ -103,14 +103,14 @@ class _Residuals:
     by literal h is rank(|h|) * 2M, plus M if h < 0, plus a serial below M,
     so a variable's states form one block of ids, positive heads first."""
 
-    def __init__(self, clauses, order: tuple[int, ...]):
+    def __init__(self, store, order: tuple[int, ...]):
         # block[l] is 2 rank(|l|), plus 1 if l < 0; the first occurrence of
         # a variable in the order fixes its rank
         n = len(order)
         self.block = block = dict(zip(reversed(order), range(2 * n - 2, -1, -2)))
         block.update(zip(map(neg, reversed(order)), range(2 * n - 1, 0, -2)))
         self.order = order
-        self.lits = [sorted(c.literals, key=block.__getitem__) for c in clauses]
+        self.lits = [sorted(c, key=block.__getitem__) for c in store]
         self.vars = [tuple(map(abs, lits)) for lits in self.lits]
         self.M = M = 1 + sum(map(len, self.lits))
         table: dict[int, int] = {}  # next id * 2n + block of the head -> id
@@ -321,7 +321,7 @@ def search(formula: CnfFormula, strategy: OrderStrategy | None = None, budget: i
         key, nvars = _FALSIFIED, 0
     else:
         priority = (strategy or OrderStrategy.lexicographic()).priority(formula)
-        res = _Residuals(formula.clauses, priority)
+        res = _Residuals(formula._store, priority)
         key, nvars, order, M, width = res.root, res.nvars, res.order, res.M, 2 * res.M
         size, advance, assign, undo = res.size, res.advance, res.assign, res.undo
     lit, stack, steps, hits, misses, decisions, splits = None, [], 0, 0, 0, 0, 0

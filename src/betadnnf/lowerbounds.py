@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .circuit import Vtree as BranchDecomposition
-from .cnf import Clause, CnfFormula, _literal_set, hypergraph_of, truth_table_of_formula
+from .cnf import CnfFormula, _literal_set, hypergraph_of, truth_table_of_formula
 from .errors import BudgetExceededError, CapExceededError
 from .hypergraph import EliminationOrder, is_beta_acyclic, satisfies_beta_condition
 
@@ -62,11 +62,11 @@ def incidence_graph(formula: CnfFormula) -> Graph:
     """Bipartite graph of variables versus clauses; clause vertices are
     labelled c1, c2, ... in canonical clause order."""
     variables = sorted(formula.variables)
-    clause_labels = [f"c{i}" for i in range(1, len(formula.clauses) + 1)]
+    clause_labels = [f"c{i}" for i in range(1, len(formula) + 1)]
     edges = []
-    for label, clause in zip(clause_labels, formula.sorted_clauses()):
-        for v in clause.variables:
-            edges.append((v, label))
+    for label, clause in zip(clause_labels, formula._sorted):
+        for l in clause:
+            edges.append((abs(l), label))
     return Graph(list(variables) + clause_labels, edges)
 
 
@@ -353,8 +353,8 @@ def hat(formula: CnfFormula) -> CnfFormula:
     The widened formula is kept on `formula`, as its clause order is."""
     if (widened := formula.__dict__.get("_hat")) is None:
         base = max(formula.variables, default=0)
-        widened = CnfFormula(Clause(set(clause.literals) | {base + i})
-                             for i, clause in enumerate(formula.sorted_clauses(), start=1))
+        widened = object.__new__(CnfFormula)._fill(  # a fresh variable is larger than any, so last
+            [clause + (base + i,) for i, clause in enumerate(formula._sorted, start=1)], None)
         object.__setattr__(formula, "_hat", widened)
     return widened
 
@@ -364,7 +364,7 @@ def hat_order(formula: CnfFormula) -> EliminationOrder:
     variables first, then an elimination order of the original."""
     _, order = formula._elimination_order()
     base = max(formula.variables, default=0)
-    fresh = tuple(range(base + 1, base + 1 + len(formula.clauses)))
+    fresh = tuple(range(base + 1, base + 1 + len(formula)))
     return EliminationOrder(fresh + order.sequence)
 
 

@@ -8,12 +8,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadnnf import CnfFormula, cli, count_dpll, dpll, hypergraph, lowerbounds
+from betadnnf import CnfFormula, cli, cnf, count_dpll, dpll, hypergraph, lowerbounds
 from betadnnf.cli import main
 from betadnnf.cnf import hypergraph_of
 from betadnnf.dpll import OrderStrategy, search
@@ -490,11 +491,31 @@ class TestCliContract:
             assert len(calls) == 1
 
     def test_hat_widens_the_input_once(self, capsys, monkeypatch, tmp_path):
-        calls, original = [], lowerbounds.Clause
-        monkeypatch.setattr(lowerbounds, "Clause", lambda literals: calls.append(1) or original(literals))
+        calls, original = [], CnfFormula._fill
+        monkeypatch.setattr(CnfFormula, "_fill", lambda self, *args: calls.append(1) or original(self, *args))
         code, _, err = run(capsys, "hat", fstar_path(), "-o", str(tmp_path / "hat.cnf"))
         assert (code, err) == (0, "beta-acyclicity preserved: yes\n")
-        assert len(calls) == 5  # one per clause of the input
+        assert len(calls) == 2  # one clause store per formula: the parsed one and the widened one
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["order"], ["compile", "-o", "{dir}/c.nnf"], ["count", "--method", "compile"],
+        ["count", "--method", "dpll"], ["dpll", "--trace", "{dir}/t.nnf"], ["hat", "-o", "{dir}/h.cnf"],
+    ])
+    def test_no_clause_object_on_the_formula_paths(self, capsys, monkeypatch, tmp_path, argv):
+        """Parse, order, both engines, the writer and the widening read the
+        formula's clause store; every `Clause` is made through `_fill`."""
+        block = "p cnf 6 5\n1 2 0\n-2 3 0\n3 -4 0\n-4 -5 0\n5 6 0\n"
+        made, original = [], cnf.Clause._fill
+        monkeypatch.setattr(cnf.Clause, "_fill", lambda self, *args: made.append(1) or original(self, *args))
+        for text in (block, block + "c a comment sends the text to the line loop\n6 1 -1 0\n1 0\n"):
+            path = tmp_path / "chain.cnf"
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the line loop drops the tautology
+                code = main([argv[0], str(path)] + [a.format(dir=tmp_path) for a in argv[1:]])
+            capsys.readouterr()
+            assert code == 0 and made == []
+        assert cnf.Clause([2, 1]) and made == [1]  # the counter sees a construction
 
     @pytest.mark.parametrize("command", ["order", "hat"])
     def test_an_empty_clause_has_no_order(self, capsys, tmp_path, command):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import warnings
@@ -125,6 +126,28 @@ class TestSortedClauses:
             first = formula.sorted_clauses()
             first.reverse()
             assert formula.sorted_clauses() == first[::-1]
+
+
+class TestClauseStore:
+    def test_the_parse_leaves_the_collector_almost_nothing(self):
+        """A parsed chain of 3,200 variables keeps its clauses as tuples of
+        ints, which the collector stops tracking: a full collection after the
+        parse finds at most 10 more tracked objects, not three per clause."""
+        n = 3200
+        text = f"p cnf {n} {n - 1}\n" + "".join(f"{i} {i + 1} 0\n" for i in range(1, n))
+        gc.collect()
+        before = len(gc.get_objects())
+        formula = parse_dimacs(text)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 10
+        assert len(formula) == n - 1 and formula.size == 2 * (n - 1)
+
+    def test_facts_are_kept_and_clauses_built_on_request(self, fstar):
+        assert fstar.variables is fstar.variables and fstar.size is fstar.size
+        assert fstar.clauses is fstar.clauses and clause_set(fstar) == set(fstar._store)
+        assert fstar == CnfFormula(fstar.clauses) == CnfFormula.from_ints(fstar._store)
+        assert hash(fstar) == hash(CnfFormula(fstar.sorted_clauses()))
+        assert [c.sorted_literals() for c in fstar.sorted_clauses()] == list(fstar._sorted)
 
 
 class TestRestrict:

@@ -269,7 +269,7 @@ class TestRootSplit:
     @staticmethod
     def root_parts(formula):
         priority = OrderStrategy.reverse_beta_elimination().priority(formula)
-        res = _Residuals(formula.clauses, priority)
+        res = _Residuals(formula._store, priority)
         return res, res.parts(res.root, res.nvars, res.vars, len(res.vars))
 
     def test_one_part_per_component(self):

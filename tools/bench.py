@@ -29,11 +29,12 @@ Layers:
   count (`formula_size`). The formula's elimination order is computed
   first and not timed.
 - `front` (`BENCH_front.json`): seconds of `parse_dimacs` on DIMACS text
-  built here, of `beta_elimination_order` on the formula's hypergraph
-  (with the re-verification it runs before returning) and of the
-  standalone `beta_condition_violation` on that hypergraph and order,
-  each the least of 3 calls in one interpreter, and the peak of one parse
-  plus order; size is n. As a control, `control_s` times a loop that is
+  built here, of `hypergraph_of` on a freshly parsed formula, of
+  `beta_elimination_order` on the formula's hypergraph (with the
+  re-verification it runs before returning) and of the standalone
+  `beta_condition_violation` on that hypergraph and order, each the least
+  of 3 calls in one interpreter, and the peak of one parse, hypergraph
+  and order; size is n. As a control, `control_s` times a loop that is
   linear by construction, one `set(e)` per edge: an exponent above 1 that
   it shares is the host's (allocation and memory), not an algorithm's.
   The text lists the clauses in order, one to a line, after a
@@ -44,10 +45,11 @@ two consecutive variables), wide (one clause over 1..n: all positive for
 `dpll`, every third literal negative for `compile`) and nested (one
 clause on each edge {1..j}, j <= n, signs varying by variable and
 clause). chain-long and interval3-long are the same clauses at
-n = 12,800-51,200, where per-edge records that grow with n show; they
-are separate families so that the shorter ladders keep their fitted
-exponents. All are built here, so that a tree whose
-`betadnnf.generators` lacks them measures the same formulas.
+n = 12,800-51,200, where per-edge records that grow with n and the
+cyclic collector's scans of them show; they are separate families so
+that the shorter ladders keep their fitted exponents. All are built
+here, so that a tree whose `betadnnf.generators` lacks them measures the
+same formulas.
 """
 from __future__ import annotations
 
@@ -149,6 +151,8 @@ def measure_front(clauses: list[list[int]], n: int, peak: bool) -> dict:
 
     text = f"p cnf {n} {len(clauses)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
     row = {"parse_s": seconds(lambda: parse_dimacs(text), CALLS)}
+    fresh = [parse_dimacs(text) for _ in range(CALLS)]
+    row["hypergraph_s"] = seconds(lambda: hypergraph_of(fresh.pop()), CALLS)
     hypergraph = hypergraph_of(parse_dimacs(text))
     row["order_s"] = seconds(lambda: beta_elimination_order(hypergraph), CALLS)
     order = beta_elimination_order(hypergraph)
@@ -185,10 +189,13 @@ LAYERS = {
                       "nested": (nested, (50, 100, 200, 400)),
                       "chain-long": (chain, LONG),
                       "interval3-long": (interval3, LONG)}),
-    "front": Layer(measure_front, "n", ("parse_s", "order_s", "verify_s", "control_s", "front_peak_bytes"),
+    "front": Layer(measure_front, "n",
+                   ("parse_s", "hypergraph_s", "order_s", "verify_s", "control_s", "front_peak_bytes"),
                    {"measured": "parse_dimacs(text); beta_elimination_order(hypergraph_of(formula))"},
                    {"chain": (chain, (800, 1600, 3200, 6400)),
-                    "interval3": (interval3, (800, 1600, 3200, 6400))}),
+                    "interval3": (interval3, (800, 1600, 3200, 6400)),
+                    "chain-long": (chain, LONG),
+                    "interval3-long": (interval3, LONG)}),
 }
 
 
