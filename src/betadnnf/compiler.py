@@ -9,25 +9,26 @@ edge's prefixes are hash-consed into a trie (Filliatre & Conchon, 2006),
 so a restriction is one node id, which names its edge and stage and keys
 the cache: the twin of the interned rank-order suffixes of `dpll`. A stage
 gate is a decision on x whose branches are decomposable conjunctions of
-gates from earlier stages. The forest moves once per stage. Both branches
-lie in one reachable set, whose forest tops depend only on the edge and
-stage: one walk serves both, the edge's clauses share the tops, and each
-piece's gate is a bisect and a cache read (`lookup` inline). The first
-stage is the same walk with no predecessor: a piece makes its branch
-false. Each component's largest edge computes it at the last stage.
+gates from earlier stages. Only the stage loop moves the reachability
+forest, once per stage; the public `reachable_edges` asks
+`hypergraph.sub_hypergraph`. Both branches lie in one reachable set, whose
+forest tops depend only on the edge and stage: one walk serves both, the
+edge's clauses share the tops, and each piece's gate is a bisect and a
+cache read (`lookup` inline). The first stage is the same walk with no
+predecessor: a piece makes its branch false. Each component's largest
+edge computes it at the last stage.
 """
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from operator import neg
 from typing import Iterable, NamedTuple
 
 from .circuit import CircuitBuilder, NnfCircuit, prune_unreachable
-from .cnf import Clause, CnfFormula, hypergraph_of
-from .hypergraph import EliminationOrder, beta_condition_violation
+from .cnf import CnfFormula, hypergraph_of
+from .hypergraph import EliminationOrder, beta_condition_violation, sub_hypergraph
 
 
 class SubFormulaKey(NamedTuple):
@@ -62,7 +63,8 @@ class CompileReport:
 
 
 class Compiler:
-    """One compilation run; exposes the cache and intermediate queries."""
+    """One compilation run: the stage loop's state (the cache, the trie and the
+    forest) and the checked queries `compute_U` and `reachable_edges`."""
 
     def __init__(self, formula: CnfFormula, order: EliminationOrder | None = None):
         self._start = time.perf_counter()
@@ -83,24 +85,23 @@ class Compiler:
                         for e in self.hypergraph.edges])
         self.edges: list[frozenset[int]] = [e for _, e in keyed]
         self.edge_index = edge_index = {tuple(sorted(e)): i for i, e in enumerate(self.edges)}
-        # per edge, found by its variables as a clause lists them, and from those ranks: its variables
-        # by descending rank, their negated ranks and its clause ids (as in `sorted_clauses`), each
-        # clause's literal set in `lit_sets`; a restriction, a prefix of a clause's literals so ranked,
-        # is found by bisecting its edge's negated ranks, and its trie node is in `prefix`: the root is
-        # the edge's index, and `intern` maps (node, literal l) to the node after it on l; a clause's
-        # whole list kills it (`lookup`'s constant false) and gets no node
-        self.edge_ranked = edge_ranked = [tuple(map(order.sequence.__getitem__, ranks)) for ranks, _ in keyed]
+        # per edge, found by its variables as a clause lists them: its variables by descending rank,
+        # their negated ranks in `depth` and its clause ids (as in `sorted_clauses`) in `edge_clauses`;
+        # per clause, its literal set in `lit_sets` and its literals in its edge's order in `ranked`. A
+        # restriction, a prefix of those, is found by bisecting the edge's `depth`, and its trie node is
+        # in `prefix`: the root is the edge's index, and `intern` maps (node, literal l) to the node after
+        # it on l; a clause's whole list kills it (`lookup`'s constant false) and gets no node
+        edge_vars = [tuple(map(order.sequence.__getitem__, ranks)) for ranks, _ in keyed]
+        self.depth = [tuple(map(neg, ranks)) for ranks, _ in keyed]
         self.edge_clauses: list[list[int]] = [[] for _ in self.edges]
-        edge_depth = [tuple(map(neg, ranks)) for ranks, _ in keyed]
-        self.ranked, self.depth, self.prefix, self.lit_sets = ranked_of, depth, prefix, sets = [], [], [], []
+        self.ranked, self.prefix, self.lit_sets = ranked_of, prefix, sets = [], [], []
         self.intern = intern = {}
         m = len(self.edges)
         for cid, c in enumerate(formula._sorted):
             j = edge_index[tuple(map(abs, c))]
             sets.append(literals := frozenset(c))
             self.edge_clauses[j].append(cid)
-            ranked_of.append(ranked := tuple([v if v in literals else -v for v in edge_ranked[j]]))
-            depth.append(edge_depth[j])
+            ranked_of.append(ranked := tuple([v if v in literals else -v for v in edge_vars[j]]))
             nodes = [node := j]
             for l in ranked[:-1]:
                 nodes.append(node := intern.setdefault((node, l), len(intern) + m))
@@ -115,10 +116,6 @@ class Compiler:
         self.cache: dict[int, int] = {}  # trie node of a restriction -> its gate
         self._cutoff = len(order)  # past every rank: the first query builds the forest
         self.full_circuit: NnfCircuit | None = None
-
-    @cached_property
-    def clauses(self) -> list[Clause]:
-        return self.formula.sorted_clauses()  # by clause id, made at the first request
 
     def _forest_at(self, rank: int) -> None:
         """Move the reachability forest to the cutoff of this rank, from
@@ -150,24 +147,10 @@ class Compiler:
     def reachable_edges(self, edge: frozenset[int], cutoff: int) -> list[int]:
         """Indices, ascending, of the edges reachable from `edge` through
         edges at most `edge` and vertices at most `cutoff`: the edges of
-        `hypergraph.sub_hypergraph(..., edge, cutoff)`, read off the forest.
-        A public query; the stage loop reads the forest through `_walk`."""
-        start = self.edge_index.get(tuple(sorted(edge)))
-        if start is None:
-            raise ValueError(f"edge {sorted(edge)} not in the hypergraph")
-        if not self.edges_with.get(cutoff):
-            raise ValueError(f"vertex {cutoff} not in the hypergraph")
-        self._forest_at(self.rank[cutoff])
-        subtree = [start]
-        for g in subtree:
-            subtree.extend(self._children[g])
-        return sorted(subtree)
-
-    def restriction_above(self, clause_id: int, cutoff: int) -> tuple[int, ...]:
-        """The literals of the clause on variables after `cutoff`, by
-        descending rank: those its falsifying assignment falsifies there.
-        A public query; the stage loop reads prefixes off `prefix`."""
-        return self.ranked[clause_id][:bisect_left(self.depth[clause_id], -self.rank[cutoff])]
+        `hypergraph.sub_hypergraph(..., edge, cutoff)`. A public query; it
+        leaves the forest, which the stage loop reads through `_walk`, alone."""
+        reach = sub_hypergraph(self.hypergraph, self.order, edge, cutoff)
+        return sorted([self.edge_index[tuple(sorted(e))] for e in reach.edges])
 
     def compute_U(
         self, edge: Iterable[int], x: int, above: frozenset[int]
@@ -203,8 +186,8 @@ class Compiler:
         rank = self.rank
         if rank[x] == 0:
             raise ValueError(f"variable {x} is first in the order and has no predecessor")
-        ranked = self.edge_ranked[top]
-        expected = ranked[:ranked.index(x)]  # the edge's variables after x
+        ranked = tuple(map(abs, self.ranked[self.edge_clauses[top][0]]))  # the edge's variables
+        expected = ranked[:ranked.index(x)]  # those after x
         if len(above) != len(expected) or not all(v in above or -v in above for v in expected):
             raise ValueError(
                 f"restriction must bind exactly {sorted(expected)}, got {sorted(above, key=abs)}"
@@ -240,7 +223,7 @@ class Compiler:
                 g = stack.pop()
                 for cid in self.edge_clauses[g]:
                     if (prefix[cid][k] == node and ranked[cid][k] != b if g == top else b not in sets[cid]
-                            and ((d := depth[cid])[0] >= nx  # no literal after x
+                            and ((d := depth[g])[0] >= nx  # no literal after x
                                  or falsified.isdisjoint(map(neg, ranked[cid][:bisect_left(d, nx)])))):
                         pieces.append((g, cid))
                         break
@@ -259,7 +242,7 @@ class Compiler:
         not change the sub-formula; with no clause variable at or below the
         cutoff the restriction kills the clause, giving constant false.
         """
-        k, ranked = bisect_left(self.depth[clause_id], -self.rank[cutoff]), self.ranked[clause_id]
+        k, ranked = bisect_left(self.depth[self.prefix[clause_id][0]], -self.rank[cutoff]), self.ranked[clause_id]
         if k == len(ranked):
             return self.builder.false()
         gate = self.cache.get(self.prefix[clause_id][k])
@@ -285,8 +268,8 @@ class Compiler:
         cache, depth, prefix, ny, gates = self.cache, self.depth, self.prefix, 1 - rx, []
         for pieces in (hi, lo):  # `lookup` at the predecessor, of negated rank ny, inline
             kids = []
-            for _, cid in pieces:
-                i = bisect_left(d := depth[cid], ny)
+            for g, cid in pieces:
+                i = bisect_left(d := depth[g], ny)
                 kids.append(builder.false() if i == len(d) else cache.get(prefix[cid][i]))
                 if kids[-1] is None:  # `lookup` refuses the uncomputed key and names it
                     self.lookup(cid, self.order.sequence[rx - 1])

@@ -1,5 +1,6 @@
 """Hypergraphs, beta-elimination orders, and the ordered sub-hypergraphs
-that drive the compiler's dynamic program.
+that drive the compiler's dynamic program: `sub_hypergraph` answers
+`Compiler.reachable_edges`, and the tests check the compiler's forest by it.
 
 A hypergraph is a finite set of non-empty finite vertex sets. It is
 beta-acyclic when repeatedly deleting nest points (vertices whose incident
@@ -36,7 +37,7 @@ class Hypergraph:
             raise ValueError("empty edges are not admitted")
         object.__setattr__(self, "edges", es)
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset[int]:
         return frozenset().union(*self.edges)
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -41,6 +42,29 @@ def clause_sets(formula):
     return {c.sorted_literals() for c in formula.clauses}
 
 
+def listed_clauses(compiler):
+    """The compiler's clauses, listed by clause id."""
+    return compiler.formula.sorted_clauses()
+
+
+def restriction_above(compiler, clause_id, cutoff):
+    """The literals of the clause on variables after `cutoff`, by descending
+    rank: those its falsifying assignment falsifies there, a prefix of its
+    ranked literals found by bisecting its edge's negated ranks."""
+    depth = compiler.depth[compiler.prefix[clause_id][0]]
+    return compiler.ranked[clause_id][:bisect_left(depth, -compiler.rank[cutoff])]
+
+
+def forest_reach(compiler, edge, cutoff):
+    """Indices, ascending, of R(edge, cutoff) read off the compiler's forest
+    moved to the cutoff: the edge's subtree."""
+    compiler._forest_at(compiler.rank[cutoff])
+    subtree = [compiler.edge_index[tuple(sorted(edge))]]
+    for g in subtree:
+        subtree.extend(compiler._children[g])
+    return sorted(subtree)
+
+
 def decoded_cache(compiler):
     """The cache with each trie node decoded to the `SubFormulaKey` it
     stands for: its root is the edge, the path down to it spells the
@@ -52,7 +76,8 @@ def decoded_cache(compiler):
         while node in step:
             node, literal = step[node]
             literals.append(literal)
-        return SubFormulaKey(node, tuple(reversed(literals)), compiler.edge_ranked[node][len(literals)])
+        stage = abs(compiler.ranked[compiler.edge_clauses[node][0]][len(literals)])
+        return SubFormulaKey(node, tuple(reversed(literals)), stage)
 
     return {key(node): gate for node, gate in compiler.cache.items()}
 
@@ -61,7 +86,7 @@ def sub_formula(compiler, edge, cutoff):
     """Clauses whose variable set is an edge of `hypergraph.sub_hypergraph`
     around `edge`: the formula a cache entry restricts."""
     reach = sub_hypergraph(compiler.hypergraph, compiler.order, edge, cutoff).edges
-    return CnfFormula(c for c in compiler.clauses if c.variables in reach)
+    return CnfFormula(c for c in listed_clauses(compiler) if c.variables in reach)
 
 
 def random_interval_cnf(rng, n, clauses, widths=(1, 2, 2, 3, 3, 4), planted=False):
@@ -97,7 +122,8 @@ def compute_U(formula, order, edge, x, tau):
     compiler = Compiler(formula, order)
     lit = x if x in tau else -x
     hi, lo = compiler.compute_U(edge, x, tau - {lit})
-    return [(g, compiler.clauses[cid]) for g, cid in (hi if lit == x else lo)]
+    listed = listed_clauses(compiler)
+    return [(g, listed[cid]) for g, cid in (hi if lit == x else lo)]
 
 
 def pairwise_compute_U(compiler, edge, x, tau):
@@ -105,9 +131,9 @@ def pairwise_compute_U(compiler, edge, x, tau):
     candidates that lie in no other candidate's reachable set one stage
     down."""
     graph, order = compiler.hypergraph, compiler.order
-    lowest_unsat = {}
+    lowest_unsat, listed = {}, listed_clauses(compiler)
     for g in sub_hypergraph(graph, order, edge, x).edges:
-        for cid, clause in enumerate(compiler.clauses):
+        for cid, clause in enumerate(listed):
             if clause.variables == g and tau.isdisjoint(clause.literals):
                 lowest_unsat[g] = cid
                 break
@@ -185,7 +211,8 @@ class TestReachabilityForest:
 
     def test_reachable_edges_match_the_reference_in_any_query_order(self):
         """Shuffled queries move the cutoff back as well as forward, so the
-        forest is rebuilt from empty as well as advanced."""
+        forest is rebuilt from empty as well as advanced; the public query
+        gives the forest's indices."""
         rng = random.Random(7)
         for formula in forest_inputs():
             compiler = Compiler(formula)
@@ -193,8 +220,10 @@ class TestReachabilityForest:
             pairs = [(f, c) for f in compiler.edges for c in order.sequence]
             rng.shuffle(pairs)
             for f, c in pairs:
-                got = {compiler.edges[i] for i in compiler.reachable_edges(f, c)}
+                indices = forest_reach(compiler, f, c)
+                got = {compiler.edges[i] for i in indices}
                 assert got == sub_hypergraph(graph, order, f, c).edges, (formula, f, c)
+                assert compiler.reachable_edges(f, c) == indices, (formula, f, c)
 
     def test_reachable_edges_after_run(self, fstar):
         compiler = Compiler(fstar, ORDER)
@@ -202,6 +231,16 @@ class TestReachabilityForest:
         got = compiler.reachable_edges(E5, 3)
         assert {compiler.edges[i] for i in got} == {E1, E3, E5}
         assert got == sorted(got)
+
+    def test_a_public_query_leaves_the_forest_alone(self, fstar):
+        """After `run` the forest stands at the last stage; a query at an
+        early cutoff does not move it back."""
+        compiler = Compiler(fstar, ORDER)
+        compiler.run()
+        cutoff, parent = compiler._cutoff, list(compiler._parent)
+        assert cutoff == len(ORDER) - 1
+        assert {compiler.edges[i] for i in compiler.reachable_edges(E5, 2)} == {E1, E3, E5}
+        assert (compiler._cutoff, compiler._parent) == (cutoff, parent)
 
     def test_unknown_edge_or_vertex_rejected(self, fstar):
         compiler = Compiler(fstar, ORDER)
@@ -259,7 +298,7 @@ class TestComputeU:
 
     def test_lookup_names_an_uncomputed_key(self, fstar):
         compiler = Compiler(fstar, ORDER)
-        k5 = [c.sorted_literals() for c in compiler.clauses].index((2, 4, 5))
+        k5 = [c.sorted_literals() for c in listed_clauses(compiler)].index((2, 4, 5))
         with pytest.raises(AssertionError) as info:
             compiler.lookup(k5, 4)
         assert str(info.value) == (
@@ -285,11 +324,11 @@ class TestComputeU:
         for formula in formulas:
             compiler = Compiler(formula)
             rank = compiler.order.rank
-            for cid, clause in enumerate(compiler.clauses):
+            for cid, clause in enumerate(listed_clauses(compiler)):
                 for x in clause.variables:
                     if rank[x] == 0:
                         continue
-                    above = frozenset(-l for l in compiler.restriction_above(cid, x))
+                    above = frozenset(-l for l in restriction_above(compiler, cid, x))
                     branches = compiler.compute_U(clause.variables, x, above)
                     for b in (0, 1):
                         tau = above | {x if b else -x}
@@ -324,7 +363,6 @@ class TestComputeU:
         monkeypatch.setattr(Compiler, "_walk", counted_walk)
         monkeypatch.setattr(Compiler, "compute_U", refused("compute_U"))
         monkeypatch.setattr(Compiler, "reachable_edges", refused("reachable_edges"))
-        monkeypatch.setattr(Compiler, "restriction_above", refused("restriction_above"))
         for formula in formulas:
             before = len(calls)
             compiler = Compiler(formula)
@@ -366,15 +404,17 @@ class TestComputeU:
 class TestRestrictionAbove:
     def test_cutoff(self, fstar):
         compiler = Compiler(fstar, ORDER)
-        k5 = [c.sorted_literals() for c in compiler.clauses].index((2, 4, 5))
-        assert falsifying_assignment(Clause(compiler.restriction_above(k5, 4))) == lits({5: 0})
-        assert len(compiler.restriction_above(k5, 5)) == 0
+        k5 = [c.sorted_literals() for c in listed_clauses(compiler)].index((2, 4, 5))
+        assert falsifying_assignment(Clause(restriction_above(compiler, k5, 4))) == lits({5: 0})
+        assert len(restriction_above(compiler, k5, 5)) == 0
 
     def test_prefix_of_the_ranked_literals(self, fstar):
         compiler = Compiler(fstar, ORDER)
-        k5 = [c.sorted_literals() for c in compiler.clauses].index((2, 4, 5))
+        k5 = [c.sorted_literals() for c in listed_clauses(compiler)].index((2, 4, 5))
         assert compiler.ranked[k5] == (5, 4, 2)
-        assert [compiler.restriction_above(k5, x) for x in (5, 4, 3, 2, 1)] == [
+        assert len(compiler.depth) == len(compiler.edges)  # one tuple per edge, read by the edge's index
+        assert compiler.depth[compiler.prefix[k5][0]] == (-4, -3, -1)
+        assert [restriction_above(compiler, k5, x) for x in (5, 4, 3, 2, 1)] == [
             (), (5,), (5, 4), (5, 4), (5, 4, 2)]
 
 
@@ -394,7 +434,7 @@ class TestCacheKeys:
                 (c.variables,
                  frozenset(l for l in falsifying_assignment(c) if rank[abs(l)] > rank[x]),
                  x)
-                for c in comp.clauses
+                for c in listed_clauses(comp)
                 for x in c.variables
             }
             assert len(comp.cache) == len(distinct), formula
@@ -477,13 +517,14 @@ class TestAgainstTheTupleKeyCompiler:
         for _ in range(150):
             formula = random_beta_acyclic_cnf(rng, max_vars=9, max_clauses=14)
             new, old = Compiler(formula), compiler_reference.Compiler(formula)
-            for cid, clause in enumerate(new.clauses):
+            listed = listed_clauses(new)
+            for cid, clause in enumerate(listed):
                 edge = clause.variables
                 for x in sorted(edge):
-                    falsified = new.restriction_above(cid, x)
+                    falsified = restriction_above(new, cid, x)
                     flipped = tuple(l if rng.random() < 0.5 else -l for l in falsified)
-                    off_prefix += all(new.restriction_above(c, x) != flipped
-                                      for c, d in enumerate(new.clauses) if d.variables == edge)
+                    off_prefix += all(restriction_above(new, c, x) != flipped
+                                      for c, d in enumerate(listed) if d.variables == edge)
                     own = frozenset(-l for l in falsified)
                     wrong = own - {-falsified[0]} if falsified else own | {-x}
                     for above in (own, frozenset(-l for l in flipped), own | {x}, wrong):
@@ -529,7 +570,7 @@ class TestDecisionStepStructure:
     def test_top_gate_of_worked_example(self, fstar):
         comp = Compiler(fstar)
         comp.run()
-        ids = {c.sorted_literals(): i for i, c in enumerate(comp.clauses)}
+        ids = {c.sorted_literals(): i for i, c in enumerate(listed_clauses(comp))}
         k1, k2, k5 = ids[(1, 2)], ids[(3, 4)], ids[(2, 4, 5)]
         top = comp.lookup(k5, 5)
         tag, x, hi, lo = comp.builder.gate(top)

@@ -406,6 +406,18 @@ class TestStructuralProperties:
             assert structural_property_failures(h, order) == []
 
 
+class TestVertices:
+    def test_kept_after_the_first_read(self, fstar_hypergraph):
+        """`vertices` is built at the first read and kept; equality and
+        hashing still compare only the edges."""
+        h, twin = Hypergraph(fstar_hypergraph.edges), Hypergraph(fstar_hypergraph.edges)
+        before = hash(h)
+        assert h.vertices is h.vertices
+        assert h.vertices == frozenset({1, 2, 3, 4, 5})
+        assert h == twin and hash(h) == before == hash(twin) == hash(fstar_hypergraph)
+        assert h != Hypergraph([E1]) and repr(h) == repr(twin)
+
+
 class TestTextFormat:
     def test_roundtrip(self, fstar_hypergraph):
         text = write_hypergraph(fstar_hypergraph)
