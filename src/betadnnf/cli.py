@@ -103,6 +103,14 @@ def _refuse_wider(width: int, cap: int, what: str) -> None:
         raise CapExceededError(f"{width} variables exceed the {what} cap of {cap}", cap)
 
 
+def _dpll_strategy(name: str, budget: int | None) -> tuple[dpll_mod.OrderStrategy, int | None]:
+    """The DPLL order `name` ("reverse-beta" or "lex") and its step budget:
+    lex order gets `LEX_BUDGET` unless `--budget` is given."""
+    if name == "reverse-beta":
+        return dpll_mod.OrderStrategy.reverse_beta_elimination(), budget
+    return dpll_mod.OrderStrategy.lexicographic(), LEX_BUDGET if budget is None else budget
+
+
 def cmd_check(args) -> int:
     formula = _load_formula(args.formula)
     if formula.has_empty_clause():
@@ -156,11 +164,9 @@ def cmd_count(args) -> int:
         n = circuit_mod.count_models(circuit, formula.variables) << free
     else:
         try:  # the strategy refuses before the search starts
-            count, _ = dpll_mod.count_dpll(
-                formula, dpll_mod.OrderStrategy.reverse_beta_elimination(), budget=args.budget)
+            count, _ = dpll_mod.count_dpll(formula, *_dpll_strategy("reverse-beta", args.budget))
         except NotBetaAcyclicError:
-            budget = LEX_BUDGET if args.budget is None else args.budget
-            count, _ = dpll_mod.count_dpll(formula, dpll_mod.OrderStrategy.lexicographic(), budget)
+            count, _ = dpll_mod.count_dpll(formula, *_dpll_strategy("lex", args.budget))
         n = count << free
     print(_decimal(n))
     return EXIT_OK
@@ -187,11 +193,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dpll(args) -> int:
     formula = _load_formula(args.formula)
-    if args.strategy == "reverse-beta":
-        strategy, budget = dpll_mod.OrderStrategy.reverse_beta_elimination(), args.budget
-    else:
-        strategy = dpll_mod.OrderStrategy.lexicographic()
-        budget = LEX_BUDGET if args.budget is None else args.budget
+    strategy, budget = _dpll_strategy(args.strategy, args.budget)
     count, stats, trace = dpll_mod.search(formula, strategy, budget=budget, trace=bool(args.trace))
     if args.trace:
         circuit_mod.write_nnf_file(trace, args.trace)
@@ -279,63 +281,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="beta-acyclicity verdict and order")
     p.add_argument("formula")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("order", help="print a beta-elimination order, one vertex per line")
     p.add_argument("formula")
-    p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("compile", help="compile CNF into a decision-DNNF file")
     p.add_argument("formula")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--order", metavar="FILE", help="explicit elimination order file")
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("count", help="model count over the declared variables")
     p.add_argument("formula")
     p.add_argument("--method", choices=("compile", "dpll", "brute"), default="compile")
     p.add_argument("--order", metavar="FILE", help="explicit elimination order file")
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="structural checks, optionally against a CNF")
     p.add_argument("circuit")
     p.add_argument("--against", metavar="FILE.cnf")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dpll", help="exhaustive DPLL count with statistics")
     p.add_argument("formula")
     p.add_argument("--strategy", choices=("reverse-beta", "lex"), default="lex")
     p.add_argument("--trace", metavar="FILE.nnf", help="write the trace circuit")
-    p.set_defaults(func=cmd_dpll)
 
     p = sub.add_parser("hat", help="widen every clause with a fresh variable")
     p.add_argument("formula")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_hat)
 
     p = sub.add_parser("mimw", help="width of a decomposition, or the exact minimum")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--tree", metavar="FILE", help="branch decomposition file")
-    p.set_defaults(func=cmd_mimw)
 
     p = sub.add_parser("rectcover", help="exact minimum rectangle cover size")
     p.add_argument("formula")
     p.add_argument("--left", required=True, metavar="V1,V2,...",
                    help="variables on the left side of the split")
-    p.set_defaults(func=cmd_rectcover)
 
     p = sub.add_parser("bench", help="compile a formula family and tabulate stats")
     p.add_argument("--family", choices=("chain", "random"), default="chain")
     p.add_argument("--sizes", default="10,20,40,80", metavar="N1,N2,...")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # the handler is looked up now, so a replaced `cmd_*` is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except BudgetExceededError as exc:
         what = "rectcover" if args.command == "rectcover" else "lex-order"
         default = f" (the {what} default; --budget sets another)" if args.budget is None else ""

@@ -72,3 +72,17 @@ def test_every_layer_has_a_committed_baseline_with_its_keys():
             assert set(run["exponents"]) == set(spec.families)
             assert all(set(e) == set(spec.keys) for e in run["exponents"].values())
             assert all(set(spec.keys) <= set(row) for row in run["rows"])
+
+
+@pytest.mark.parametrize("inside, recorded", [(False, "BENCH_front.json"), (True, "records/BENCH_front.json")],
+                         ids=["outside", "inside"])
+def test_the_recorded_command_reruns_from_the_repo_root(monkeypatch, tmp_path, inside, recorded):
+    """An absolute `-o` is recorded relative to the repo root when it lies
+    in the checkout, and by its base name otherwise."""
+    if inside:  # a stand-in checkout, so that nothing is written to the real one
+        monkeypatch.setattr(bench, "REPO", tmp_path)
+    monkeypatch.setattr(bench, "measure_trees", lambda layer, trees: {"after": {"rows": [], "exponents": {}}})
+    target = tmp_path / "records" / "BENCH_front.json"
+    target.parent.mkdir()
+    assert bench.main(["front", "-o", str(target)]) == 0
+    assert json.loads(target.read_text())["command"] == f"python3 tools/bench.py front -o {recorded}"

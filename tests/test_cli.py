@@ -460,6 +460,12 @@ class TestLabCommands:
         assert "error: a random hypergraph needs max_vertices >= 2, got 1" in err
 
 
+# the least argv each subcommand accepts
+LEAST_ARGV = [["check", "f.cnf"], ["order", "f.cnf"], ["compile", "f.cnf", "-o", "f.nnf"],
+              ["count", "f.cnf"], ["verify", "f.nnf"], ["dpll", "f.cnf"], ["hat", "f.cnf"],
+              ["mimw", "g.edges"], ["rectcover", "f.cnf", "--left", "1"], ["bench"]]
+
+
 class TestCliContract:
     def test_identical_argv_gives_identical_stdout(self, capsys):
         outputs = set()
@@ -469,14 +475,23 @@ class TestCliContract:
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
-    def test_resource_errors_are_refusals(self, capsys, monkeypatch, error):
+    @pytest.mark.parametrize("argv", LEAST_ARGV, ids=lambda argv: argv[0])
+    def test_resource_errors_are_refusals(self, capsys, monkeypatch, argv, error):
+        """`main` runs the `cmd_<command>` the module holds when it is called."""
         def exhausted(args):
             raise error()
 
-        monkeypatch.setattr(cli, "cmd_check", exhausted)
-        code, out, err = run(capsys, "check", fstar_path())
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", exhausted)
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith(f"refused: {error.__name__}")
+
+    @pytest.mark.parametrize("argv", LEAST_ARGV, ids=lambda argv: argv[0])
+    def test_every_subcommand_has_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: betadnnf {argv[0]} ")
 
     @pytest.mark.parametrize("command", ["check", "order", "hat"])
     def test_the_order_of_the_input_is_computed_once(self, capsys, monkeypatch, tmp_path, command):

@@ -14,7 +14,9 @@ untraced one. With `--baseline REV`, the tree of that commit is extracted
 by `git archive` into a temporary directory as the "before" tree, and
 this tree's measuring code measures both. Each repeat measures the two
 trees back to back, the first of them alternating, so that a drift of
-the host's speed reaches both trees alike.
+the host's speed reaches both trees alike. The report's `command` names
+the `-o` file as the repo root reaches it, or by its base name when it
+lies outside the checkout, so that the command reruns from the root.
 
 Layers:
 
@@ -66,6 +68,7 @@ import tracemalloc
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+REPO = Path(__file__).resolve().parent.parent
 REPEATS = 5
 CALLS = 3  # a front-end timing keeps the least of this many calls
 
@@ -261,10 +264,12 @@ def main(argv=None) -> int:
         build, _ = spec.families[family]
         print(json.dumps(spec.measure(build(n), n, not args.no_peak)))
         return 0
-    repo = Path(__file__).resolve().parent.parent
-    given = argv if argv is not None else sys.argv[1:]
+    command = ["python3", "tools/bench.py", args.layer] + (["--baseline", args.baseline] if args.baseline else [])
+    if args.output:  # as reached from the repo root, so that the record reruns there
+        output = args.output.resolve()
+        command += ["-o", str(output.relative_to(REPO) if output.is_relative_to(REPO) else output.name)]
     report = {
-        "command": " ".join(["python3", "tools/bench.py", *given]),
+        "command": " ".join(command),
         **spec.report,
         "repeats": REPEATS,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
@@ -274,11 +279,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
         if args.baseline:
-            archive = subprocess.run(["git", "-C", str(repo), "archive", args.baseline],
+            archive = subprocess.run(["git", "-C", str(REPO), "archive", args.baseline],
                                      check=True, capture_output=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             trees["before"] = Path(tmp) / "src"
-        trees["after"] = repo / "src"
+        trees["after"] = REPO / "src"
         for name, measured in measure_trees(args.layer, trees).items():
             rev = args.baseline if name == "before" else "working tree"
             report["runs"][name] = {"rev": rev, **measured}
