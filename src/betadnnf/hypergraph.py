@@ -15,7 +15,9 @@ edge only, and a strict prefix lacks only smaller ranks.
 
 The order engine and the edge searches handle edges by index: they list
 the edges once, map each vertex to the indices of its edges, and keep
-per-edge state (residuals, search parents) under those indices.
+per-edge state (live-vertex counts, search parents) under those indices.
+The order engine copies no edge: it reads an edge's residual, what
+deletions left of it, as the edge less one set of deleted vertices.
 """
 from __future__ import annotations
 
@@ -108,25 +110,22 @@ def _incidence(edges: list[frozenset[int]]) -> dict[int, list[int]]:
     return incident
 
 
-def _chain_break(through: list[int], residual: list[set[int]]):
+def _chain_break(through: list[int], edges: list[frozenset[int]], left: list[int], gone: set[int]):
     """The nest-point test on two or more edges (indices) through one
-    vertex, each read as its residual (what deletions left of it): two with
-    incomparable residuals, smaller first, or None when they form a chain.
-    Callers pass no lone edge: a vertex on fewer than two edges is a nest
-    point."""
+    vertex, each read as its residual, the edge less the vertices in `gone`
+    (`left[e]` of them): two with incomparable residuals, smaller first, or
+    None when they form a chain. Sorted by size, whatever the order among
+    equal sizes, they form one iff each residual lies in the next, that is,
+    iff each edge's vertices outside the next are gone. Callers pass no
+    lone edge: a vertex on fewer than two edges is a nest point."""
     if len(through) == 2:  # the pair a stable sort by residual size gives
         e, f = through
-        if len(residual[f]) < len(residual[e]):
+        if left[f] < left[e]:
             e, f = f, e
-        return None if residual[e] <= residual[f] else (e, f)
-    # sets sorted by size form a chain iff each is a subset of the next,
-    # whatever the order among equal sizes; only a break needs the indices
-    sets = sorted(map(residual.__getitem__, through), key=len)
-    if all(map(set.issubset, sets, sets[1:])):
-        return None
-    by_size = sorted(through, key=lambda e: len(residual[e]))
+        return None if edges[e] - edges[f] <= gone else (e, f)
+    by_size = sorted(through, key=left.__getitem__)
     for e, f in zip(by_size, by_size[1:]):
-        if not residual[e] <= residual[f]:  # |f| >= |e|, so f ⊆ e would make e = f
+        if not edges[e] - edges[f] <= gone:  # left[f] >= left[e], so f ⊆ e would make e = f
             return e, f
     return None
 
@@ -147,13 +146,14 @@ def beta_condition_violation(
 
 def _first_violation(edges: list[frozenset[int]], incident: dict[int, list[int]], sequence: Iterable[int]):
     """`beta_condition_violation` on `edges` and their `_incidence`."""
-    residual = [set(e) for e in edges]
+    left, gone = list(map(len, edges)), set()
     for x in sequence:
         through = incident.get(x, ())
-        if len(through) > 1 and (pair := _chain_break(through, residual)):
+        if len(through) > 1 and (pair := _chain_break(through, edges, left, gone)):
             return x, edges[pair[0]], edges[pair[1]]
+        gone.add(x)
         for e in through:
-            residual[e].discard(x)
+            left[e] -= 1
     return None
 
 
@@ -178,7 +178,7 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
     """
     edges = list(hypergraph.edges)
     incident = _incidence(edges)
-    residual = [set(e) for e in edges]
+    left, gone = list(map(len, edges)), set()
     heap = sorted(incident)  # a sorted list is a heap
     failed: set[int] = set()
     pairs: dict[int, tuple[int, int]] = {}
@@ -188,19 +188,18 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
         through = incident[x]
         if len(through) > 1:  # a lone edge makes x a nest point, and x never failed
             pair = pairs.get(x)
-            if pair is None or (residual[pair[0]] <= residual[pair[1]]
-                                or residual[pair[1]] <= residual[pair[0]]):
-                pair = _chain_break(through, residual)
+            if pair is None or _chain_break(pair, edges, left, gone) is None:
+                pair = _chain_break(through, edges, left, gone)
             if pair is not None:
                 pairs[x] = pair
                 failed.add(x)
                 continue
         sequence.append(x)
+        gone.add(x)
         for e in through:
-            left = residual[e]
-            left.discard(x)
+            left[e] -= 1
             if failed:
-                for y in failed & left:  # iterates the smaller set
+                for y in failed & edges[e]:  # no failed vertex is gone; iterates the smaller set
                     failed.remove(y)
                     heapq.heappush(heap, y)
     if failed:

@@ -3,7 +3,8 @@ tracemalloc peak of each, which is deterministic, fitted over chain and
 interval-3 formulas of n = 200 to 1,600 variables, grows with a log-log
 slope of at most 1.1. A record per pair of clauses, or a copy per stage,
 would fit near 2. (A bound for `count_models` waits until its counts are
-freed after their last reader.)
+freed after their last reader.) The order's peak per edge is bounded
+too, so that it keeps no copy of each edge.
 
 Two CPython caches make small formulas look cheaper than they are, which
 would tilt the fit upward:
@@ -21,9 +22,11 @@ import pytest
 
 from betadnnf.cnf import parse_dimacs
 from betadnnf.compiler import Compiler
+from betadnnf.hypergraph import Hypergraph, beta_elimination_order
 
 SIZES = (200, 400, 800, 1600)
 BOUND = 1.1
+PER_EDGE = 450  # bytes of the order's peak per edge; a residual set per edge reads about 600
 FIRST = 257  # the least variable id
 
 
@@ -77,3 +80,14 @@ def test_the_traced_peak_is_linear(family, stage):
     stage(dimacs(family, 20))()  # one-time allocations of the first call are not the formula's
     peaks = [traced_peak(stage(dimacs(family, n))) for n in SIZES]
     assert slope(SIZES, peaks) <= BOUND, peaks
+
+
+@pytest.mark.parametrize("n", [1600, 12800])
+@pytest.mark.parametrize("family", [chain, interval3], ids=["chain", "interval3"])
+def test_the_order_copies_no_edge(family, n):
+    """The incidence lists, the live-vertex counts and the deletion set of
+    the order on a hypergraph built beforehand read 190-380 B per edge."""
+    beta_elimination_order(Hypergraph(family(20)))  # one-time allocations of the first call
+    hypergraph = Hypergraph([v + FIRST for v in c] for c in family(n))
+    peak = traced_peak(lambda: beta_elimination_order(hypergraph))
+    assert peak / len(hypergraph) <= PER_EDGE, peak
