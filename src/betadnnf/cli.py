@@ -207,12 +207,12 @@ def cmd_dpll(args) -> int:
 
 def cmd_hat(args) -> int:
     formula = _load_formula(args.formula)
+    preserved = lb_mod.hat_preserves_beta(formula)  # before writing, so a refusal writes nothing
     widened = lb_mod.hat(formula)
     if args.output:
         cnf_mod.write_dimacs_file(widened, args.output)
     else:
         sys.stdout.write(cnf_mod.write_dimacs(widened))
-    preserved = lb_mod.hat_preserves_beta(formula)
     print(f"beta-acyclicity preserved: {'yes' if preserved else 'no'}", file=sys.stderr)
     return EXIT_OK if preserved else EXIT_FAIL
 

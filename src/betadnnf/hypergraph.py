@@ -116,16 +116,18 @@ def _chain_break(through: list[int], edges: list[frozenset[int]], left: list[int
     (`left[e]` of them): two with incomparable residuals, smaller first, or
     None when they form a chain. Sorted by size, whatever the order among
     equal sizes, they form one iff each residual lies in the next, that is,
-    iff each edge's vertices outside the next are gone. Callers pass no
-    lone edge: a vertex on fewer than two edges is a nest point."""
+    iff each edge's vertices outside the next are gone. A residual of size
+    1 is the tested vertex alone and lies in every other, so it passes on
+    its count, without the set difference. Callers pass no lone edge: a
+    vertex on fewer than two edges is a nest point."""
     if len(through) == 2:  # the pair a stable sort by residual size gives
         e, f = through
         if left[f] < left[e]:
             e, f = f, e
-        return None if edges[e] - edges[f] <= gone else (e, f)
+        return None if left[e] == 1 or edges[e] - edges[f] <= gone else (e, f)
     by_size = sorted(through, key=left.__getitem__)
     for e, f in zip(by_size, by_size[1:]):
-        if not edges[e] - edges[f] <= gone:  # left[f] >= left[e], so f ⊆ e would make e = f
+        if left[e] > 1 and not edges[e] - edges[f] <= gone:  # left[f] >= left[e], so f ⊆ e would make e = f
             return e, f
     return None
 
@@ -162,29 +164,38 @@ def satisfies_beta_condition(hypergraph: Hypergraph, order: EliminationOrder) ->
 
 
 def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBetaAcyclic:
-    """Greedy nest-point elimination, smallest vertex id first.
-
-    Returns an order satisfying the elimination condition (re-verified by
-    `_first_violation` on the incidence built here, not a second one), or
-    a NotBetaAcyclic certificate naming the vertex set where all fail.
-
-    Candidates come off a heap, least first. A vertex that fails is set
-    aside until a vertex sharing an edge with it is deleted, as no other
-    deletion changes its residual edges. A nest point stays one when other
-    vertices are deleted (A ⊆ B gives A - v ⊆ B - v), so taking the least
-    one first never blocks the others. A failed vertex keeps its
-    incomparable pair; while the pair stays incomparable it fails again
-    without its edges being re-read.
-    """
+    """Greedy nest-point elimination (`_greedy`), smallest vertex id first:
+    an order satisfying the elimination condition, re-verified by
+    `_first_violation` on the same incidence once the greedy's state is
+    freed, or a NotBetaAcyclic certificate naming the vertex set where all fail."""
     edges = list(hypergraph.edges)
     incident = _incidence(edges)
+    sequence, failed = _greedy(edges, incident)
+    if failed:
+        return NotBetaAcyclic(frozenset(failed))
+    if _first_violation(edges, incident, sequence) is not None:
+        raise AssertionError("greedy elimination produced an invalid order")
+    return EliminationOrder(sequence)
+
+
+def _greedy(edges: list[frozenset[int]], incident: dict[int, list[int]]):
+    """`beta_elimination_order`'s greedy: the vertices deleted, in order,
+    and those set aside when no nest point is left. Untried vertices are
+    read in increasing order, without a heap. A vertex that fails is set
+    aside until a vertex sharing an edge with it is deleted, as no other
+    deletion changes its residual edges; then it is woken onto a heap. A
+    woken vertex was tried before, so it is less than every untried one,
+    and the heap goes first: the least candidate is always taken. A nest
+    point stays one when other vertices are deleted (A ⊆ B gives A - v ⊆
+    B - v), so taking the least one first never blocks the others. A failed
+    vertex keeps its incomparable pair; while the pair stays incomparable
+    it fails again without its edges being re-read."""
     left, gone = list(map(len, edges)), set()
-    heap = sorted(incident)  # a sorted list is a heap
+    untried, woken = iter(sorted(incident)), []
     failed: set[int] = set()
     pairs: dict[int, tuple[int, int]] = {}
     sequence: list[int] = []
-    while heap:
-        x = heapq.heappop(heap)
+    while (x := heapq.heappop(woken) if woken else next(untried, None)) is not None:
         through = incident[x]
         if len(through) > 1:  # a lone edge makes x a nest point, and x never failed
             pair = pairs.get(x)
@@ -201,12 +212,8 @@ def beta_elimination_order(hypergraph: Hypergraph) -> EliminationOrder | NotBeta
             if failed:
                 for y in failed & edges[e]:  # no failed vertex is gone; iterates the smaller set
                     failed.remove(y)
-                    heapq.heappush(heap, y)
-    if failed:
-        return NotBetaAcyclic(frozenset(failed))
-    if _first_violation(edges, incident, sequence) is not None:
-        raise AssertionError("greedy elimination produced an invalid order")
-    return EliminationOrder(sequence)
+                    heapq.heappush(woken, y)
+    return sequence, failed
 
 
 def _order_or_refuse(found: EliminationOrder | NotBetaAcyclic) -> EliminationOrder:

@@ -534,11 +534,16 @@ class TestCliContract:
 
     @pytest.mark.parametrize("command", ["order", "hat"])
     def test_an_empty_clause_has_no_order(self, capsys, tmp_path, command):
-        path = tmp_path / "zero.cnf"
-        path.write_text("p cnf 1 1\n0\n")
-        code, _, err = run(capsys, command, str(path))
-        assert code == 2
-        assert err == "error: formula contains the empty clause; handle the constant-0 case first\n"
+        """The refusal writes nothing: no order, no widened formula, and
+        no `-o` file."""
+        path, output = tmp_path / "zero.cnf", tmp_path / "hat.cnf"
+        for text in ("p cnf 1 1\n0\n", "p cnf 2 2\n1 2 0\n0\n"):
+            path.write_text(text)
+            for extra in ([], ["-o", str(output)] if command == "hat" else []):
+                code, out, err = run(capsys, command, str(path), *extra)
+                assert (code, out) == (2, "")
+                assert err == "error: formula contains the empty clause; handle the constant-0 case first\n"
+        assert not output.exists()
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -192,6 +193,69 @@ class TestOrderEngine:
         star = Hypergraph([{1, v} for v in range(2, 2002)])
         x, e, f = beta_condition_violation(star, EliminationOrder(range(1, 2002)))
         assert x == 1 and e != f and 1 in e & f
+
+    @pytest.mark.parametrize("edges, gone, pair", [
+        ([{1, 2}, {1, 3, 4}], {2}, None),
+        ([{1, 3, 4}, {1, 2}], {2}, None),
+        ([{1, 2}, {1, 3}, {1, 2, 3, 5}, {1, 4, 5, 6}], {2, 3}, None),
+        ([{1, 2}, {1, 3}, {1, 2, 3, 5}, {1, 4, 6}], {2, 3}, (2, 3)),
+        ([{1, 2, 3, 5}, {1, 4, 6}, {1, 3}, {1, 2}], {2, 3}, (0, 1)),
+    ], ids=["two-chain", "two-chain-swapped", "four-chain", "four-break", "four-break-swapped"])
+    def test_a_residual_of_the_vertex_alone_takes_no_difference(self, edges, gone, pair):
+        """Through vertex 1, an edge whose residual is {1} passes on its
+        live count: no set difference is taken from it, and the verdict
+        and pair are those of the same test on plain frozensets, and of
+        the definition."""
+        subtracted = []
+
+        class Counted(frozenset):
+            def __sub__(self, other):
+                subtracted.append(set(self))
+                return frozenset.__sub__(self, other)
+
+        left = [len(set(e) - gone) for e in edges]
+        through = list(range(len(edges)))
+        got = hypergraph_mod._chain_break(through, [Counted(e) for e in edges], left, gone)
+        assert got == hypergraph_mod._chain_break(through, list(map(frozenset, edges)), left, gone) == pair
+        assert (got is None) == _chain_through(Hypergraph(edges), gone, 1)
+        assert 1 in left and all(len(e - gone) > 1 for e in subtracted)
+
+    @pytest.mark.parametrize("edges", [
+        [{i, i + 1} for i in range(1, 2000)],
+        [{i, i + 1, i + 2} for i in range(1, 1999)] + [{i, i + 1} for i in range(1, 2000)],
+    ], ids=["chain", "interval3"])
+    def test_untried_vertices_bypass_the_heap(self, edges, monkeypatch):
+        """Numbered in elimination order, no vertex is set aside, so the
+        greedy pops no heap."""
+        pops = _count_heap_pops(monkeypatch)
+        assert beta_elimination_order(Hypergraph(edges)).sequence == tuple(range(1, 2001))
+        assert pops == []
+
+    def test_a_woken_centre_keeps_the_reference_order(self, monkeypatch):
+        """The star's centre is set aside, then woken by each leaf deleted
+        before it, and each time taken first, off the heap."""
+        pops = _count_heap_pops(monkeypatch)
+        star = Hypergraph([{1, v} for v in range(2, 1002)])
+        got = beta_elimination_order(star)
+        assert got.sequence == order_reference.beta_elimination_order(star).sequence
+        assert got.sequence == (*range(2, 1001), 1, 1001)
+        assert pops == [1] * 999
+
+
+def _count_heap_pops(monkeypatch):
+    """The vertices the order engine pops off its heap from here on."""
+    pops = []
+
+    class CountedHeapq:
+        heappush = staticmethod(heapq.heappush)
+
+        @staticmethod
+        def heappop(heap):
+            pops.append(heapq.heappop(heap))
+            return pops[-1]
+
+    monkeypatch.setattr(hypergraph_mod, "heapq", CountedHeapq)
+    return pops
 
 
 @st.composite

@@ -26,7 +26,7 @@ from betadnnf.hypergraph import Hypergraph, beta_elimination_order
 
 SIZES = (200, 400, 800, 1600)
 BOUND = 1.1
-PER_EDGE = 450  # bytes of the order's peak per edge; a residual set per edge reads about 600
+PER_EDGE = 370  # bytes of the order's peak per edge; a residual set per edge reads about 600
 FIRST = 257  # the least variable id
 
 
@@ -86,7 +86,7 @@ def test_the_traced_peak_is_linear(family, stage):
 @pytest.mark.parametrize("family", [chain, interval3], ids=["chain", "interval3"])
 def test_the_order_copies_no_edge(family, n):
     """The incidence lists, the live-vertex counts and the deletion set of
-    the order on a hypergraph built beforehand read 190-380 B per edge."""
+    the order on a hypergraph built beforehand read 155-295 B per edge."""
     beta_elimination_order(Hypergraph(family(20)))  # one-time allocations of the first call
     hypergraph = Hypergraph([v + FIRST for v in c] for c in family(n))
     peak = traced_peak(lambda: beta_elimination_order(hypergraph))

@@ -40,14 +40,17 @@ Layers:
   linear by construction, one `set(e)` per edge: an exponent above 1 that
   it shares is the host's (allocation and memory), not an algorithm's.
   The text lists the clauses in order, one to a line, after a
-  `p cnf` header, as `write_dimacs` would.
+  `p cnf` header naming the largest variable, as `write_dimacs` would.
 
 Families: chain (clauses {i, i+1}), interval3 (every run of three and of
 two consecutive variables), wide (one clause over 1..n: all positive for
 `dpll`, every third literal negative for `compile`) and nested (one
 clause on each edge {1..j}, j <= n, signs varying by variable and
-clause). chain-long and interval3-long are the same clauses at
-n = 12,800-51,200, where per-edge records that grow with n and the
+clause) and, for `front`, star (clauses {1, v} for the n leaves
+v = 2..n+1: the centre fails until one leaf is left, so the order sets
+it aside and wakes it after each leaf, where the chain and interval-3
+orders never set a vertex aside). chain-long and interval3-long are the
+same clauses at n = 12,800-51,200, where per-edge records that grow with n and the
 cyclic collector's scans of them show; they are separate families so
 that the shorter ladders keep their fitted exponents. All are built
 here, so that a tree whose `betadnnf.generators` lacks them measures the
@@ -87,6 +90,10 @@ def positive_wide(n: int) -> list[list[int]]:
 
 def signed_wide(n: int) -> list[list[int]]:
     return [[v if v % 3 else -v for v in range(1, n + 1)]]
+
+
+def star(n: int) -> list[list[int]]:
+    return [[1, v] for v in range(2, n + 2)]
 
 
 def nested(n: int) -> list[list[int]]:
@@ -152,7 +159,8 @@ def measure_front(clauses: list[list[int]], n: int, peak: bool) -> dict:
     from betadnnf.cnf import hypergraph_of, parse_dimacs
     from betadnnf.hypergraph import beta_condition_violation, beta_elimination_order
 
-    text = f"p cnf {n} {len(clauses)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    nvars = max(abs(lit) for clause in clauses for lit in clause)  # n but on the star, n + 1
+    text = f"p cnf {nvars} {len(clauses)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
     row = {"parse_s": seconds(lambda: parse_dimacs(text), CALLS)}
     fresh = [parse_dimacs(text) for _ in range(CALLS)]
     row["hypergraph_s"] = seconds(lambda: hypergraph_of(fresh.pop()), CALLS)
@@ -197,6 +205,7 @@ LAYERS = {
                    {"measured": "parse_dimacs(text); beta_elimination_order(hypergraph_of(formula))"},
                    {"chain": (chain, (800, 1600, 3200, 6400)),
                     "interval3": (interval3, (800, 1600, 3200, 6400)),
+                    "star": (star, (1000, 2000, 4000, 8000)),
                     "chain-long": (chain, LONG),
                     "interval3-long": (interval3, LONG)}),
 }
